@@ -74,7 +74,9 @@ let phase3 ~config inst radii copies =
   let holders = Array.of_list (List.sort_uniq compare copies) in
   (* ascending write radii; ties broken by node id for determinism *)
   Array.sort
-    (fun u v -> compare (radii.(u).Radii.rw, u) (radii.(v).Radii.rw, v))
+    (fun u v ->
+      let c = Float.compare radii.(u).Radii.rw radii.(v).Radii.rw in
+      if c <> 0 then c else Int.compare u v)
     holders;
   let alive = Hashtbl.create (Array.length holders) in
   Array.iter (fun v -> Hashtbl.replace alive v ()) holders;

@@ -24,9 +24,17 @@ let check metric ~cs ~fr ~fw =
   Array.iter non_neg fr;
   Array.iter non_neg fw
 
-let of_metric metric ~cs ~fr ~fw =
+let of_metric ?porder metric ~cs ~fr ~fw =
   check metric ~cs ~fr ~fw;
-  { graph = None; metric; porder = Profile_cache.build metric; cs = Array.copy cs;
+  let porder =
+    match porder with
+    | Some p ->
+        if Profile_cache.size p <> Metric.size metric then
+          invalid_arg "Instance.of_metric: porder size differs from the metric's";
+        p
+    | None -> Profile_cache.build metric
+  in
+  { graph = None; metric; porder; cs = Array.copy cs;
     fr = Array.map Array.copy fr; fw = Array.map Array.copy fw }
 
 let of_graph ?(require_connected = true) g ~cs ~fr ~fw =
@@ -62,7 +70,7 @@ let read_only t ~x = total_writes t ~x = 0
 
 let related_flp t ~x =
   let demand = Array.init (n t) (fun v -> float_of_int (requests t ~x v)) in
-  Dmn_facility.Flp.create t.metric ~opening:t.cs ~demand
+  Dmn_facility.Flp.create ~order:t.porder t.metric ~opening:t.cs ~demand
 
 let restrict_object t ~x =
   { t with fr = [| Array.copy t.fr.(x) |]; fw = [| Array.copy t.fw.(x) |] }

@@ -11,12 +11,24 @@ open Dmn_paths
 
 type t
 
-(** [of_metric m ~cs ~fr ~fw] builds an instance over an explicit
-    metric. [fr] and [fw] are indexed [fr.(x).(v)]; all counts must be
-    non-negative, [cs] non-negative (allowing [infinity] to forbid
-    storage on a node). @raise Invalid_argument on shape or value
-    errors. *)
-val of_metric : Metric.t -> cs:float array -> fr:int array array -> fw:int array array -> t
+(** [of_metric ?porder m ~cs ~fr ~fw] builds an instance over an
+    explicit metric. [fr] and [fw] are indexed [fr.(x).(v)]; all counts
+    must be non-negative, [cs] non-negative (allowing [infinity] to
+    forbid storage on a node).
+
+    [porder] must be [m]'s {!Profile_cache}, built by the caller to
+    share across instances over the same distances; when omitted it is
+    built here. Only its size can be checked: a cache built from other
+    distances of the same size silently yields wrong profiles.
+    @raise Invalid_argument on shape or value errors, or when [porder]'s
+    size differs from [m]'s. *)
+val of_metric :
+  ?porder:Profile_cache.t ->
+  Metric.t ->
+  cs:float array ->
+  fr:int array array ->
+  fw:int array array ->
+  t
 
 (** [of_graph g ~cs ~fr ~fw] derives the metric as the shortest-path
     closure of [g] (the paper's [ct]); [g] must be connected. The graph
@@ -73,7 +85,9 @@ val total_requests : t -> x:int -> int
 val read_only : t -> x:int -> bool
 
 (** [related_flp t ~x] is the facility location instance of phase 1:
-    writes recast as reads (demand [fr + fw]), opening costs [cs]. *)
+    writes recast as reads (demand [fr + fw], integer-valued), opening
+    costs [cs]. It shares the instance's distance order, so building it
+    is [O(n)]. *)
 val related_flp : t -> x:int -> Dmn_facility.Flp.instance
 
 (** [restrict_object t ~x] is a single-object copy of the instance. *)

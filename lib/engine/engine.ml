@@ -364,6 +364,10 @@ type t = {
   last_mhash : int64 array;
   (* [Metric.hash64] is O(n^2); memoize it against the metric version *)
   mutable mhash_memo : int * int64;
+  (* the epoch instances' shared distance order, tagged with the hash of
+     the live metric it was built for; replaced (never accumulated) when
+     the hash changes, so at most one is held *)
+  mutable porder_memo : (int64 * Profile_cache.t) option;
   solve_cache : Dmn_core.Solve_cache.t option;
   solver_fp : string;
   mutable seen : int;
@@ -661,6 +665,7 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
       last_valid = Array.make k false;
       last_mhash = Array.make k 0L;
       mhash_memo = (-1, 0L);
+      porder_memo = None;
       solve_cache =
         (if config.solve_cache > 0 then
            Some (Dmn_core.Solve_cache.create ~capacity:config.solve_cache)
@@ -1395,13 +1400,23 @@ let step_begin t items =
         let sl = Array.of_list (List.rev !sl) in
         let skeys = Array.of_list (List.rev !sk) in
         (* a boundary with nothing to solve skips the epoch-instance
-           build (and its Profile_cache) entirely *)
+           build entirely. The distance order depends only on the
+           metric, and [place_metric] is a function of the live metric,
+           so the order is rebuilt only when [mh] changes. *)
         if Array.length sl > 0 then begin
           let scaled_cs =
             Array.init t.n (fun v ->
                 if churned && is_dead v then infinity else I.cs t.inst v *. frac)
           in
-          einst := Some (I.of_metric place_metric ~cs:scaled_cs ~fr ~fw)
+          let porder =
+            match t.porder_memo with
+            | Some (h, po) when Int64.equal h mh -> po
+            | _ ->
+                let po = Profile_cache.build place_metric in
+                t.porder_memo <- Some (mh, po);
+                po
+          in
+          einst := Some (I.of_metric ~porder place_metric ~cs:scaled_cs ~fr ~fw)
         end;
         plan := pl;
         solve_list := sl;
@@ -1592,6 +1607,7 @@ let step t items =
 let epochs_done t = t.next_index
 let events_consumed t = t.seen
 let items_consumed t = t.seen + t.topo_consumed
+let copies t ~x = current_copies t x
 let live_snapshot t = Metrics.snapshot t.ins.reg
 let live_ops t = Metrics.snapshot t.ops_reg
 

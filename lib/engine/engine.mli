@@ -443,6 +443,10 @@ val events_consumed : t -> int
     [~covered] bound for {!Dmn_core.Serial.Trace.Journal.prune}. *)
 val items_consumed : t -> int
 
+(** [copies t ~x] is object [x]'s current copy set: after a {!step},
+    the placement that epoch committed. *)
+val copies : t -> x:int -> int list
+
 (** Current workload metrics snapshot (counters, gauges, histogram) in
     registration order — the daemon's live [/metrics] source. *)
 val live_snapshot : t -> (string * Dmn_prelude.Metrics.value) list

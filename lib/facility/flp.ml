@@ -1,9 +1,14 @@
 open Dmn_paths
 open Dmn_prelude
 
-type instance = { metric : Metric.t; opening : float array; demand : float array }
+type instance = {
+  metric : Metric.t;
+  opening : float array;
+  demand : float array;
+  order : Profile_cache.t;
+}
 
-let create metric ~opening ~demand =
+let create ?order metric ~opening ~demand =
   let n = Metric.size metric in
   if Array.length opening <> n then invalid_arg "Flp.create: opening length mismatch";
   if Array.length demand <> n then invalid_arg "Flp.create: demand length mismatch";
@@ -14,7 +19,14 @@ let create metric ~opening ~demand =
     (fun d ->
       if d < 0.0 || Float.is_nan d || d = infinity then invalid_arg "Flp.create: bad demand")
     demand;
-  { metric; opening; demand }
+  let order =
+    match order with
+    | Some o ->
+        if Profile_cache.size o <> n then invalid_arg "Flp.create: order size mismatch";
+        o
+    | None -> Profile_cache.build metric
+  in
+  { metric; opening; demand; order }
 
 let size inst = Metric.size inst.metric
 

@@ -12,11 +12,19 @@ type instance = {
   metric : Metric.t;
   opening : float array;  (** per-site opening cost; [infinity] forbids a site *)
   demand : float array;  (** per-client demand weight, [>= 0] *)
+  order : Profile_cache.t;
+      (** [metric]'s shared distance order: every node's clients by
+          [(distance, id)] ascending *)
 }
 
-(** [create metric ~opening ~demand] validates the arrays' lengths
-    against the metric size and value sanity. *)
-val create : Metric.t -> opening:float array -> demand:float array -> instance
+(** [create ?order metric ~opening ~demand] validates the arrays'
+    lengths against the metric size and value sanity. [order] must be
+    [metric]'s {!Profile_cache}; when omitted it is built here, in
+    [O(n^2 log n)]. Callers that solve many instances over one metric
+    pass theirs to skip the sort. @raise Invalid_argument on a bad
+    array or an [order] whose size differs from the metric's. *)
+val create :
+  ?order:Profile_cache.t -> Metric.t -> opening:float array -> demand:float array -> instance
 
 val size : instance -> int
 

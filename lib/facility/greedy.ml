@@ -1,7 +1,8 @@
 open Dmn_paths
 
 (* For a candidate facility i, the best client set to grab is a prefix of
-   clients sorted by distance. Cost-effectiveness of taking the k nearest
+   clients sorted by distance, walked in the instance's shared order
+   (ties by node id). Cost-effectiveness of taking the k nearest
    uncovered clients: (opening_if_new + sum of their connection costs) /
    (their total demand). *)
 
@@ -11,14 +12,6 @@ let solve inst =
   Array.iteri (fun j d -> if d = 0.0 then covered.(j) <- true) inst.Flp.demand;
   let opened = Array.make n false in
   let result = ref [] in
-  let sorted_clients =
-    Array.init n (fun i ->
-        let order = Array.init n (fun j -> j) in
-        Array.sort
-          (fun a b -> compare (Metric.d inst.Flp.metric i a) (Metric.d inst.Flp.metric i b))
-          order;
-        order)
-  in
   let uncovered_left () =
     let rec go j = j < n && (if covered.(j) then go (j + 1) else true) in
     go 0
@@ -40,7 +33,7 @@ let solve inst =
                  that achieved this effectiveness. *)
               if eff < beff then best := (eff, i, Metric.d inst.Flp.metric i j)
             end)
-          sorted_clients.(i)
+          (Profile_cache.order inst.Flp.order i)
       end
     done;
     let _, i, radius = !best in

@@ -1,27 +1,34 @@
 open Dmn_paths
 
-(* r_v solves sum_j w_j * max(0, r - d_vj) = f_v: sort clients by
-   distance; between consecutive distances the left side is linear with
-   slope = covered demand. *)
+(* r_v solves sum_j w_j * max(0, r - d_vj) = f_v. Walk v's clients in
+   the instance's shared distance order; between consecutive distances
+   the left side is linear with slope = covered demand. Zero-demand
+   clients stay in the walk so the float operations run in the same
+   sequence whatever the demands are. A tied distance adds
+   [slope *. 0.] to [paid], so with integer demands the order within a
+   tie cannot change the result. *)
 let radius inst v =
-  let n = Flp.size inst in
-  let pairs =
-    Array.init n (fun j -> (Metric.d inst.Flp.metric v j, inst.Flp.demand.(j)))
-  in
-  Array.sort (fun (a, _) (b, _) -> compare a b) pairs;
   let f = inst.Flp.opening.(v) in
   if f = 0.0 then 0.0
   else begin
-    let rec go idx paid slope last_d =
-      if idx >= n then if slope > 0.0 then last_d +. ((f -. paid) /. slope) else infinity
+    let order = Profile_cache.order inst.Flp.order v in
+    let row = Metric.row inst.Flp.metric v in
+    let demand = inst.Flp.demand in
+    let n = Array.length order in
+    let idx = ref 0 and paid = ref 0.0 and slope = ref 0.0 and last_d = ref 0.0 in
+    while !idx < n do
+      let j = order.(!idx) in
+      let d = Metric.row_get row j in
+      let paid' = !paid +. (!slope *. (d -. !last_d)) in
+      if paid' >= f && !slope > 0.0 then idx := n
       else begin
-        let d, w = pairs.(idx) in
-        let paid' = paid +. (slope *. (d -. last_d)) in
-        if paid' >= f && slope > 0.0 then last_d +. ((f -. paid) /. slope)
-        else go (idx + 1) paid' (slope +. w) d
+        paid := paid';
+        slope := !slope +. demand.(j);
+        last_d := d;
+        incr idx
       end
-    in
-    go 0 0.0 0.0 0.0
+    done;
+    if !slope > 0.0 then !last_d +. ((f -. !paid) /. !slope) else infinity
   end
 
 let radii inst = Array.init (Flp.size inst) (fun v -> radius inst v)
@@ -30,7 +37,11 @@ let solve inst =
   let n = Flp.size inst in
   let r = radii inst in
   let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> compare (r.(a), a) (r.(b), b)) order;
+  Array.sort
+    (fun a b ->
+      let c = Float.compare r.(a) r.(b) in
+      if c <> 0 then c else Int.compare a b)
+    order;
   let chosen = ref [] in
   Array.iter
     (fun v ->

@@ -1,4 +1,3 @@
-open Dmn_paths
 open Dmn_prelude
 
 (* order.(v) lists all nodes sorted by (d(v, u), u) ascending. *)
@@ -7,10 +6,11 @@ type t = { order : int array array }
 let sorted_row m v =
   let n = Metric.size m in
   let idx = Array.init n (fun u -> u) in
+  let row = Metric.row m v in
   Array.sort
     (fun a b ->
-      let c = compare (Metric.d m v a) (Metric.d m v b) in
-      if c <> 0 then c else compare a b)
+      let c = Float.compare (Metric.row_get row a) (Metric.row_get row b) in
+      if c <> 0 then c else Int.compare a b)
     idx;
   idx
 

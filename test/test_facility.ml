@@ -165,6 +165,104 @@ let qcheck_jv_within_3 =
       let c = Flp.cost inst (Jain_vazirani.solve inst) in
       c <= (3.0 *. Exact.opt_cost inst) +. 1e-6)
 
+(* ---------- Mettu-Plaxton tie order pinned against the old sort ---------- *)
+
+(* The radius Mettu_plaxton computed before it walked the shared
+   distance order: every site sorts boxed (distance, demand) pairs by
+   distance alone, so tied distances come out in heap-sort order. *)
+let sorted_radius inst v =
+  let n = Flp.size inst in
+  let pairs = Array.init n (fun j -> (Metric.d inst.Flp.metric v j, inst.Flp.demand.(j))) in
+  Array.sort (fun (a, _) (b, _) -> compare a b) pairs;
+  let f = inst.Flp.opening.(v) in
+  if f = 0.0 then 0.0
+  else begin
+    let rec go idx paid slope last_d =
+      if idx >= n then if slope > 0.0 then last_d +. ((f -. paid) /. slope) else infinity
+      else begin
+        let d, w = pairs.(idx) in
+        let paid' = paid +. (slope *. (d -. last_d)) in
+        if paid' >= f && slope > 0.0 then last_d +. ((f -. paid) /. slope)
+        else go (idx + 1) paid' (slope +. w) d
+      end
+    in
+    go 0 0.0 0.0 0.0
+  end
+
+(* ... and the selection it fed, with its tuple comparator *)
+let sorted_solve inst =
+  let n = Flp.size inst in
+  let r = Array.init n (sorted_radius inst) in
+  let order = Array.init n (fun i -> i) in
+  Array.sort (fun a b -> compare (r.(a), a) (r.(b), b)) order;
+  let chosen = ref [] in
+  Array.iter
+    (fun v ->
+      if inst.Flp.opening.(v) < infinity && r.(v) < infinity then
+        if not (List.exists (fun u -> Metric.d inst.Flp.metric u v <= 2.0 *. r.(v)) !chosen) then
+          chosen := v :: !chosen)
+    order;
+  if !chosen = [] then begin
+    let best = ref 0 in
+    for i = 1 to n - 1 do
+      if inst.Flp.opening.(i) < inst.Flp.opening.(!best) then best := i
+    done;
+    chosen := [ !best ]
+  end;
+  List.rev !chosen
+
+(* Unit-weight paths, grids and complete graphs put many clients at
+   each distance; a quarter of the cases are geometric graphs, whose
+   inexact distances make the float operation sequence observable.
+   Integer demands include zeros, and opening costs mix zero, finite
+   and infinite (node 0 always storable). *)
+let tie_heavy_case seed =
+  let rng = Rng.create seed in
+  let g =
+    match Rng.int rng 4 with
+    | 0 -> Gen.path (2 + Rng.int rng 15)
+    | 1 -> Gen.grid (1 + Rng.int rng 4) (2 + Rng.int rng 4)
+    | 2 -> Gen.complete (2 + Rng.int rng 10)
+    | _ -> Gen.random_geometric rng (2 + Rng.int rng 14) 0.5
+  in
+  let n = Dmn_graph.Wgraph.n g in
+  let opening =
+    Array.init n (fun v ->
+        match Rng.int rng 4 with
+        | 0 -> 0.0
+        | 1 when v > 0 -> infinity
+        | _ -> float_of_int (1 + Rng.int rng 12) *. 0.75)
+  in
+  let fr = Array.init n (fun _ -> if Rng.int rng 3 = 0 then 0 else Rng.int rng 5) in
+  let fw = Array.init n (fun _ -> if Rng.int rng 2 = 0 then 0 else Rng.int rng 3) in
+  (g, opening, fr, fw)
+
+let qcheck_mp_tie_order_pinned =
+  QCheck.Test.make ~name:"Mettu-Plaxton walk == old sort, bit for bit, on tie-heavy metrics"
+    ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let g, opening, fr, fw = tie_heavy_case seed in
+      let inst = Dmn_core.Instance.of_graph g ~cs:opening ~fr:[| fr |] ~fw:[| fw |] in
+      let flp = Dmn_core.Instance.related_flp inst ~x:0 in
+      let bits = Array.map Int64.bits_of_float in
+      let old_r = Array.init (Flp.size flp) (sorted_radius flp) in
+      if bits (Mettu_plaxton.radii flp) <> bits old_r then
+        QCheck.Test.fail_reportf "radii differ from the sort-based reference";
+      if Mettu_plaxton.solve flp <> sorted_solve flp then
+        QCheck.Test.fail_reportf "opened sites differ from the sort-based reference";
+      (* the whole pipeline, phase 1 swapped for the reference *)
+      let module A = Dmn_core.Approx in
+      let config = A.default_config in
+      let rd = Dmn_core.Radii.compute inst ~x:0 in
+      let reference =
+        sorted_solve flp
+        |> A.phase2 ~config inst ~x:0 rd
+        |> A.phase3 ~config inst rd
+        |> List.sort_uniq compare
+      in
+      A.place_object inst ~x:0 = reference)
+
 let suite =
   [
     Alcotest.test_case "cost decomposition" `Quick cost_decomposition;
@@ -178,4 +276,5 @@ let suite =
     Alcotest.test_case "zero demand degenerate" `Quick zero_demand_instances;
     Util.qtest qcheck_mp_within_3;
     Util.qtest qcheck_jv_within_3;
+    Util.qtest qcheck_mp_tie_order_pinned;
   ]
