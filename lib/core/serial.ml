@@ -1179,30 +1179,7 @@ let load_placement path =
 (* ---------- replay checkpoints ---------- *)
 
 module Checkpoint = struct
-  type epoch_row = {
-    index : int;
-    events : int;
-    reads : int;
-    writes : int;
-    resolves : int;
-    solve_retries : int;
-    solve_fallbacks : int;
-    solve_skipped : int;
-    dirty : int;
-    cache_hits : int;
-    cache_misses : int;
-    cache_evictions : int;
-    copies : int;
-    dropped : int;
-    emergency : int;
-    topo_events : int;
-    serving : float;
-    storage : float;
-    migration : float;
-    p50 : float;
-    p95 : float;
-    p99 : float;
-  }
+  type epoch_row = Epoch_row.t
 
   type hist_state = {
     h_lo : float;
@@ -1311,32 +1288,16 @@ module Checkpoint = struct
 
   let fl = Printf.sprintf "%.17g"
 
-  let row_to_line r =
-    String.concat " "
-      [
-        string_of_int r.index;
-        string_of_int r.events;
-        string_of_int r.reads;
-        string_of_int r.writes;
-        string_of_int r.resolves;
-        string_of_int r.solve_retries;
-        string_of_int r.solve_fallbacks;
-        string_of_int r.copies;
-        string_of_int r.dropped;
-        string_of_int r.emergency;
-        string_of_int r.topo_events;
-        fl r.serving;
-        fl r.storage;
-        fl r.migration;
-        fl r.p50;
-        fl r.p95;
-        fl r.p99;
-        string_of_int r.solve_skipped;
-        string_of_int r.dirty;
-        string_of_int r.cache_hits;
-        string_of_int r.cache_misses;
-        string_of_int r.cache_evictions;
-      ]
+  (* straight into the section body: a daemon checkpointing every
+     epoch re-renders every row each time *)
+  let add_row buf r =
+    Array.iteri
+      (fun c (fd : Epoch_row.field) ->
+        if c > 0 then Buffer.add_char buf ' ';
+        match fd.get r with
+        | Epoch_row.Int n -> Buffer.add_string buf (string_of_int n)
+        | Epoch_row.Float x -> Buffer.add_string buf (fl x))
+      Epoch_row.columns
 
   let obj_state_to_line o =
     let buf = Buffer.create 64 in
@@ -1355,20 +1316,23 @@ module Checkpoint = struct
      is rendered once into a scratch buffer (to CRC the exact bytes),
      then appended — the whole snapshot is materialized in memory
      before any disk I/O happens, so the write path is a plain
-     blob-store operation (snapshot-then-write). *)
-  let add_section buf scratch name lines =
+     blob-store operation (snapshot-then-write). [render] writes the
+     body's [count] lines into the scratch buffer. *)
+  let add_body buf scratch name count render =
     Buffer.clear scratch;
-    let count = ref 0 in
-    List.iter
-      (fun l ->
-        incr count;
-        Buffer.add_string scratch l;
-        Buffer.add_char scratch '\n')
-      lines;
+    render scratch;
     let body = Buffer.contents scratch in
     Buffer.add_string buf
-      (Printf.sprintf "section %s %d %s\n" name !count (Crc32.to_hex (Crc32.digest body)));
+      (Printf.sprintf "section %s %d %s\n" name count (Crc32.to_hex (Crc32.digest body)));
     Buffer.add_string buf body
+
+  let add_section buf scratch name lines =
+    add_body buf scratch name (List.length lines) (fun b ->
+        List.iter
+          (fun l ->
+            Buffer.add_string b l;
+            Buffer.add_char b '\n')
+          lines)
 
   let to_string t =
     let buf = Buffer.create 4096 and scratch = Buffer.create 1024 in
@@ -1394,8 +1358,15 @@ module Checkpoint = struct
     add_section buf scratch "resolve"
       (Printf.sprintf "count %d" (Array.length t.resolve_state)
       :: List.map obj_state_to_line (Array.to_list t.resolve_state));
-    add_section buf scratch "epochs"
-      (string_of_int (List.length t.epochs) :: List.map row_to_line t.epochs);
+    let nrows = List.length t.epochs in
+    add_body buf scratch "epochs" (nrows + 1) (fun b ->
+        Buffer.add_string b (string_of_int nrows);
+        Buffer.add_char b '\n';
+        List.iter
+          (fun r ->
+            add_row b r;
+            Buffer.add_char b '\n')
+          t.epochs);
     add_section buf scratch "histogram"
       (Printf.sprintf "%s %s %d %s" (fl t.hist.h_lo) (fl t.hist.h_base) t.hist.h_buckets
          (fl t.hist.h_sum)
@@ -1706,56 +1677,36 @@ module Checkpoint = struct
           List.mapi
             (fun i row ->
               let ln = ep_ln + 1 + i in
-              match split_tokens row with
-              | [ idx; ev; rd; wr; rs; sr; sf; cp; dp; em; tp; sv; st; mg; a; b; c'; sk; dt;
-                  chh; chm; che ] ->
-                  let ii = int_of ln "epoch index" idx in
-                  if ii <> i then
-                    Err.failf ?file ~line:ln ~token:idx Err.Validation
-                      "epoch row %d carries index %d" i ii;
-                  let nonneg what v =
-                    if v < 0 then
-                      Err.failf ?file ~line:ln Err.Validation "%s must be non-negative" what;
-                    v
-                  in
-                  {
-                    index = ii;
-                    events = nonneg "events" (int_of ln "events" ev);
-                    reads = nonneg "reads" (int_of ln "reads" rd);
-                    writes = nonneg "writes" (int_of ln "writes" wr);
-                    resolves = nonneg "resolves" (int_of ln "resolves" rs);
-                    solve_retries = nonneg "solve_retries" (int_of ln "solve_retries" sr);
-                    solve_fallbacks = nonneg "solve_fallbacks" (int_of ln "solve_fallbacks" sf);
-                    solve_skipped = nonneg "solve_skipped" (int_of ln "solve_skipped" sk);
-                    dirty = nonneg "dirty" (int_of ln "dirty" dt);
-                    cache_hits = nonneg "cache_hits" (int_of ln "cache_hits" chh);
-                    cache_misses = nonneg "cache_misses" (int_of ln "cache_misses" chm);
-                    cache_evictions = nonneg "cache_evictions" (int_of ln "cache_evictions" che);
-                    copies = nonneg "copies" (int_of ln "copies" cp);
-                    dropped = nonneg "dropped" (int_of ln "dropped" dp);
-                    emergency = nonneg "emergency" (int_of ln "emergency" em);
-                    topo_events = nonneg "topo_events" (int_of ln "topo_events" tp);
-                    serving = float_of ln "serving" sv;
-                    storage = float_of ln "storage" st;
-                    migration = float_of ln "migration" mg;
-                    p50 = float_of ln "p50" a;
-                    p95 = float_of ln "p95" b;
-                    p99 = float_of ln "p99" c';
-                  }
-              | _ ->
-                  Err.failf ?file ~line:ln Err.Parse
-                    "malformed epoch row: expected 22 whitespace-separated fields")
+              let toks = Array.of_list (split_tokens row) in
+              if Array.length toks <> Array.length Epoch_row.columns then
+                Err.failf ?file ~line:ln Err.Parse
+                  "malformed epoch row: expected %d whitespace-separated fields"
+                  (Array.length Epoch_row.columns);
+              let r =
+                Epoch_row.make (fun fd ->
+                    let tok = toks.(fd.col) in
+                    match fd.zero with
+                    | Epoch_row.Float _ -> Epoch_row.Float (float_of ln fd.name tok)
+                    | Epoch_row.Int _ ->
+                        let v = int_of ln fd.name tok in
+                        if v < 0 then
+                          Err.failf ?file ~line:ln ~token:tok Err.Validation
+                            "%s must be non-negative" fd.name;
+                        Epoch_row.Int v)
+              in
+              if r.index <> i then
+                Err.failf ?file ~line:ln Err.Validation "epoch row %d carries index %d" i r.index;
+              r)
             rows
     in
-    let consumed = List.fold_left (fun a r -> a + r.events) 0 epochs in
-    if consumed <> events_consumed then
+    let sums = Epoch_row.sum epochs in
+    if sums.events <> events_consumed then
       Err.failf ?file ~line:ep_ln Err.Validation
-        "epoch rows account for %d events but meta says %d were consumed" consumed
+        "epoch rows account for %d events but meta says %d were consumed" sums.events
         events_consumed;
-    let applied = List.fold_left (fun a r -> a + r.topo_events) 0 epochs in
-    if applied <> topo_applied then
+    if sums.topo <> topo_applied then
       Err.failf ?file ~line:ep_ln Err.Validation
-        "epoch rows account for %d topology events but meta says %d were applied" applied
+        "epoch rows account for %d topology events but meta says %d were applied" sums.topo
         topo_applied;
     (* histogram *)
     let h_ln, h_lines = get "histogram" in

@@ -403,32 +403,10 @@ end
     against a trace that differs anywhere in the consumed prefix. *)
 
 module Checkpoint : sig
-  (** One completed epoch's accounting, exactly the scalar fields of
-      the engine's per-epoch metrics snapshot. *)
-  type epoch_row = {
-    index : int;
-    events : int;
-    reads : int;
-    writes : int;
-    resolves : int;
-    solve_retries : int;
-    solve_fallbacks : int;
-    solve_skipped : int;  (** active objects carried without re-solving *)
-    dirty : int;  (** objects whose change score exceeded the threshold *)
-    cache_hits : int;  (** dirty objects satisfied from the solve cache *)
-    cache_misses : int;
-    cache_evictions : int;
-    copies : int;
-    dropped : int;  (** requests dropped (dead requester or partition) *)
-    emergency : int;  (** emergency re-replications triggered *)
-    topo_events : int;  (** topology events applied in this epoch *)
-    serving : float;
-    storage : float;
-    migration : float;
-    p50 : float;
-    p95 : float;
-    p99 : float;
-  }
+  (** One completed epoch's accounting: the shared per-epoch schema.
+      Rows are rendered and parsed column by column through
+      {!Epoch_row.columns}. *)
+  type epoch_row = Epoch_row.t
 
   (** Request-cost histogram state: parameters, sample sum, and the
       non-zero buckets as [(index, count)] in ascending index order. *)

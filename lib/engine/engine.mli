@@ -63,10 +63,12 @@
       (overrides, down set, metric version and hash), and resume
       replays and verifies it, so kill-and-resume stays byte-identical
       under churn.
-    - {b Telemetry.} A {!Dmn_prelude.Metrics} registry (cumulative
+    - {b Telemetry.} Each epoch commits one {!Dmn_core.Epoch_row} and
+      records it in a {!Dmn_prelude.Metrics} registry (cumulative
       counters, per-epoch gauges, a log-scale histogram of per-request
-      serving cost) is snapshotted every epoch; {!metrics_json} renders
-      the timeline as machine-readable JSON and {!write_metrics} stores
+      serving cost); run totals are the sum of the rows.
+      {!metrics_json} renders the timeline as machine-readable JSON by
+      replaying the rows through a fresh registry, and {!write_metrics} stores
       it atomically via {!Dmn_core.Serial.write_file}. Operational
       counters that describe the process rather than the workload
       ([checkpoints_written], [resumes], [serve_retries]) live in the
@@ -148,48 +150,18 @@ val default_config : config
     [every = 1] checkpoints after each epoch). *)
 type checkpointing = { dir : string; every : int; keep : int }
 
-(** Per-epoch record. Costs are per-epoch (not cumulative); [copies]
-    is the total copy count over all objects at the end of the epoch
-    (after any re-solve). [solve_retries] counts supervised re-solve
-    retries, [solve_fallbacks] the objects that kept their previous
-    placement after all attempts failed; [resolves] counts only
-    {e successful} re-solves (cache hits included), so
-    [resolves + solve_fallbacks + solve_skipped] is the epoch's
-    active-object count under the [Resolve] policy. Percentiles are
-    over the epoch's per-request serving costs
-    ({!Dmn_prelude.Stats.percentile}). *)
-type epoch_stats = {
-  index : int;  (** 0-based epoch number *)
-  events : int;
-  reads : int;
-  writes : int;  (** reads/writes count all consumed requests, dropped included *)
-  dropped : int;
-      (** requests not served: the requester was dead, or partitioned
-          away from every copy of the object *)
-  serving : float;  (** served requests only *)
-  storage : float;
-  migration : float;  (** re-solve transfers plus emergency replication *)
-  resolves : int;  (** objects successfully re-solved at this boundary *)
-  solve_retries : int;
-  solve_fallbacks : int;
-  solve_skipped : int;
-      (** active objects carried without re-solving (change score within
-          [dirty_eps]); [resolves + solve_fallbacks + solve_skipped] is
-          the epoch's active-object count under [Resolve] *)
-  dirty : int;
-      (** objects classified dirty at this boundary
-          ([= resolves + solve_fallbacks]) *)
-  cache_hits : int;  (** dirty objects satisfied from the solve cache *)
-  cache_misses : int;
-  cache_evictions : int;
-  emergency : int;  (** objects emergency-re-replicated at this boundary *)
-  topo : int;  (** topology events applied at the start of this epoch *)
-  copies : int;
-  p50 : float;  (** percentiles over served requests; 0 if all dropped *)
-  p95 : float;
-  p99 : float;
-}
+(** Per-epoch record, the shared schema {!Dmn_core.Epoch_row.t}. Costs
+    are per-epoch (not cumulative); [copies] is the total copy count
+    over all objects at the end of the epoch (after any re-solve).
+    [solve_retries] counts supervised re-solve retries,
+    [solve_fallbacks] the objects that kept their previous placement
+    after all attempts failed; [resolves] counts only {e successful}
+    re-solves (cache hits included). Percentiles are over the epoch's
+    per-request serving costs ({!Dmn_prelude.Stats.percentile}). *)
+type epoch_stats = Dmn_core.Epoch_row.t
 
+(** Run totals: the sum of the epoch rows ({!Dmn_core.Epoch_row.sum}),
+    plus the final copy count. *)
 type totals = {
   events : int;
   reads : int;
@@ -207,8 +179,8 @@ type totals = {
   cache_evictions : int;
   emergency : int;
   topo : int;
-      (** applied topology events, including any trailing ones consumed
-          after the last served epoch *)
+      (** applied topology events; trailing ones consumed after the last
+          request are applied by an epoch of their own, with 0 events *)
   final_copies : int;
 }
 
@@ -221,9 +193,6 @@ type result = {
   period : int;  (** the resolved storage period *)
   epochs : epoch_stats list;  (** in order; empty for an empty trace *)
   totals : totals;
-  snapshots : (string * Dmn_prelude.Metrics.value) list list;
-      (** one scalar metrics snapshot per epoch, in epoch order (the
-          request-cost histogram appears only in [final]) *)
   final : (string * Dmn_prelude.Metrics.value) list;
       (** final snapshot, including the request-cost histogram *)
   ops : (string * Dmn_prelude.Metrics.value) list;
@@ -362,8 +331,8 @@ val fast_forward_from :
     due. The batch {e is} the epoch: callers control the epoch size by
     how many requests they pass (the one-shot wrapper passes exactly
     [config.epoch]; a wall-clock tick may pass fewer). A batch with
-    topology items but no requests folds the network change into the
-    run totals without creating an epoch; an empty batch is a no-op.
+    topology items but no requests is an epoch with 0 events that
+    applies them; an empty batch is a no-op.
     Raises as {!run_items} does for malformed events.
     @raise Dmn_prelude.Err.Error (kind [Validation]) when the engine
     was created with [?resume] but {!fast_forward} has not run. *)

@@ -18,6 +18,7 @@ module St = Dmn_dynamic.Stream
 module Sc = Dmn_dynamic.Serve_cache
 module Ad = Dmn_workload.Adversary
 module En = Dmn_engine.Engine
+module Row = Dmn_core.Epoch_row
 
 let tmp_file =
   let counter = ref 0 in
@@ -296,14 +297,14 @@ let engine_counts_drops_and_emergency () =
   Alcotest.(check int) "topo" 2 r.En.totals.En.topo;
   (match r.En.epochs with
   | [ e0; e1; e2 ] ->
-      Alcotest.(check int) "epoch 0 clean" 0 (e0.En.dropped + e0.En.emergency + e0.En.topo);
-      Alcotest.(check int) "epoch 1 drop" 1 e1.En.dropped;
-      Alcotest.(check int) "epoch 1 emergency" 1 e1.En.emergency;
-      Alcotest.(check int) "epoch 1 topo" 1 e1.En.topo;
-      Alcotest.(check int) "epoch 2 topo" 1 e2.En.topo;
-      Alcotest.(check int) "epoch 2 serves everyone" 0 e2.En.dropped;
+      Alcotest.(check int) "epoch 0 clean" 0 (e0.Row.dropped + e0.Row.emergency + e0.Row.topo);
+      Alcotest.(check int) "epoch 1 drop" 1 e1.Row.dropped;
+      Alcotest.(check int) "epoch 1 emergency" 1 e1.Row.emergency;
+      Alcotest.(check int) "epoch 1 topo" 1 e1.Row.topo;
+      Alcotest.(check int) "epoch 2 topo" 1 e2.Row.topo;
+      Alcotest.(check int) "epoch 2 serves everyone" 0 e2.Row.dropped;
       (* the emergency copy is charged as migration at the boundary *)
-      Alcotest.(check bool) "emergency charged" true (e1.En.migration > 0.0)
+      Alcotest.(check bool) "emergency charged" true (e1.Row.migration > 0.0)
   | es -> Alcotest.failf "expected 3 epochs, got %d" (List.length es));
   Alcotest.(check bool) "serving stays finite" true (Float.is_finite r.En.totals.En.serving)
 
@@ -477,6 +478,87 @@ let engine_churn_resume_is_byte_identical () =
         (En.metrics_json inst resumed))
     [ 1; 4 ]
 
+(* ---------- a topology-only batch is an epoch ---------- *)
+
+(* Topology consumed after the last request forms a batch with no
+   requests. It commits a row of its own — 0 events, carrying the
+   topology, the emergency re-replication and its migration — so totals
+   stay the sum of the rows and a checkpoint written after it passes
+   its own load check and resumes byte-identically. *)
+let engine_topology_only_batch_is_an_epoch () =
+  let inst = bridge_instance () in
+  let placement = P.make [| [ 5 ] |] in
+  let req node = St.Req { St.node; x = 0; kind = St.Read } in
+  let first = [ req 0; req 1; req 2 ] and second = [ req 3; req 4; req 5 ] in
+  let trailing = [ St.Topo (Ch.Node_down 5) ] in
+  let items = first @ second @ trailing in
+  (* static: the only copy stays on node 5 until the failure *)
+  let config = static_config 3 in
+  let reference = En.run_items ~config inst placement (List.to_seq items) in
+  (match List.rev reference.En.epochs with
+  | last :: _ ->
+      Alcotest.(check int) "topology-only epoch index" 2 last.Row.index;
+      Alcotest.(check int) "no events" 0 last.Row.events;
+      Alcotest.(check int) "carries the topology" 1 last.Row.topo;
+      Alcotest.(check int) "carries the emergency" 1 last.Row.emergency;
+      Alcotest.(check bool) "carries its migration" true (last.Row.migration > 0.0)
+  | [] -> Alcotest.fail "no epochs");
+  let sums = Row.sum reference.En.epochs in
+  Alcotest.(check int) "topo total = sum of rows" sums.Row.topo reference.En.totals.En.topo;
+  Alcotest.(check bool) "migration total = sum of rows" true
+    (sums.Row.migration = reference.En.totals.En.migration);
+  let json = En.metrics_json inst reference in
+  with_tmp_dir "topo-only.ckptdir" @@ fun dir ->
+  let eng = En.create ~config ~ckpt:{ En.dir; every = 1; keep = 3 } inst placement in
+  List.iter (En.step eng) [ first; second; trailing ];
+  (* an empty batch with nothing pending records nothing *)
+  En.step eng [];
+  Alcotest.(check int) "three epochs" 3 (En.epochs_done eng);
+  En.checkpoint_now eng;
+  let loaded = Dmn_core.Ckpt_store.load dir in
+  Alcotest.(check int) "newest generation loads without fallback" 0
+    loaded.Dmn_core.Ckpt_store.fallbacks;
+  let m = Err.get_ok (Dmn_core.Ckpt_store.read_manifest_res dir) in
+  Alcotest.(check int) "the newest generation" m.Dmn_core.Ckpt_store.latest
+    loaded.Dmn_core.Ckpt_store.generation;
+  let c = loaded.Dmn_core.Ckpt_store.ckpt in
+  Alcotest.(check int) "topology applied" 1 c.Ck.topo_applied;
+  Alcotest.(check string) "stepped == run_items" json (En.metrics_json inst (En.finish eng));
+  let resumed = En.run_items ~config ~resume:c inst placement (List.to_seq items) in
+  Alcotest.(check string) "resumed == uninterrupted" json (En.metrics_json inst resumed)
+
+(* ---------- format pin ---------- *)
+
+(* A fixed small resolve replay under churn, checkpointing every epoch:
+   the digests of its metrics JSON (v4) and of its newest checkpoint
+   generation (v3) pin both formats byte for byte. A change that moves
+   either digest changes a file format and must bump its version. *)
+let formats_are_pinned () =
+  let inst = small_instance 29 in
+  let placement = A.solve inst in
+  let items =
+    List.of_seq
+      (Ad.failure_repair (Rng.create 41) inst ~phases:5 ~phase_length:60 ~write_fraction:0.2)
+  in
+  (* end on a request: a trailing topology-only batch would add an epoch *)
+  let rec drop_topo = function St.Topo _ :: rest -> drop_topo rest | l -> l in
+  let items = List.rev (drop_topo (List.rev items)) in
+  Alcotest.(check bool) "churn on" true
+    (List.exists (function St.Topo _ -> true | St.Req _ -> false) items);
+  with_tmp_dir "pin.ckptdir" @@ fun dir ->
+  let config = { En.default_config with En.epoch = 50; dirty_eps = 0.3 } in
+  let r =
+    En.run_items ~config ~ckpt:{ En.dir; every = 1; keep = 2 } inst placement (List.to_seq items)
+  in
+  let loaded = Dmn_core.Ckpt_store.load dir in
+  let gen =
+    Dmn_core.Serial.read_file
+      (Filename.concat dir (Dmn_core.Ckpt_store.gen_name loaded.Dmn_core.Ckpt_store.generation))
+  in
+  let hex s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "metrics JSON v4 digest" "2980c8fa8d583e558cdaaad420f38993" (hex (En.metrics_json inst r));
+  Alcotest.(check string) "checkpoint v3 digest" "a99c2d3cb9021857b8fa6fba52a8c392" (hex gen)
+
 let suite =
   [
     Alcotest.test_case "repair matches recompute" `Quick repair_matches_recompute;
@@ -491,4 +573,7 @@ let suite =
     Alcotest.test_case "churn needs a graph" `Quick engine_rejects_churn_without_graph;
     Alcotest.test_case "adversary streams" `Quick adversary_streams_replay_cleanly;
     Alcotest.test_case "resume under churn" `Quick engine_churn_resume_is_byte_identical;
+    Alcotest.test_case "topology-only batch is an epoch" `Quick
+      engine_topology_only_batch_is_an_epoch;
+    Alcotest.test_case "formats pinned" `Quick formats_are_pinned;
   ]

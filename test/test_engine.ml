@@ -10,6 +10,7 @@ module St = Dmn_dynamic.Stream
 module Sg = Dmn_dynamic.Strategy
 module Sim = Dmn_dynamic.Sim
 module En = Dmn_engine.Engine
+module Row = Dmn_core.Epoch_row
 
 let tmp_file =
   let counter = ref 0 in
@@ -163,7 +164,7 @@ let engine_consumes_stream_once () =
   Alcotest.(check int) "ceil(750/100) epochs" 8 (List.length r.En.epochs);
   (* last epoch is the partial one *)
   let last = List.nth r.En.epochs 7 in
-  Alcotest.(check int) "partial epoch length" 50 last.En.events
+  Alcotest.(check int) "partial epoch length" 50 last.Row.events
 
 (* ---------- determinism across domain counts ---------- *)
 
@@ -242,31 +243,40 @@ let engine_epoch_stats_consistent () =
   let t = r.En.totals in
   let sum f = List.fold_left (fun acc (e : En.epoch_stats) -> acc +. f e) 0.0 r.En.epochs in
   let sumi f = List.fold_left (fun acc (e : En.epoch_stats) -> acc + f e) 0 r.En.epochs in
-  Alcotest.(check int) "events partition into epochs" t.En.events (sumi (fun e -> e.En.events));
+  Alcotest.(check int) "events partition into epochs" t.En.events (sumi (fun e -> e.Row.events));
   Alcotest.(check int) "reads + writes = events" t.En.events (t.En.reads + t.En.writes);
-  Util.check_cost "serving totals" t.En.serving (sum (fun e -> e.En.serving));
-  Util.check_cost "storage totals" t.En.storage (sum (fun e -> e.En.storage));
-  Util.check_cost "migration totals" t.En.migration (sum (fun e -> e.En.migration));
+  Util.check_cost "serving totals" t.En.serving (sum (fun e -> e.Row.serving));
+  Util.check_cost "storage totals" t.En.storage (sum (fun e -> e.Row.storage));
+  Util.check_cost "migration totals" t.En.migration (sum (fun e -> e.Row.migration));
   List.iter
     (fun (e : En.epoch_stats) ->
-      Util.check_leq "p50 <= p95" e.En.p50 e.En.p95;
-      Util.check_leq "p95 <= p99" e.En.p95 e.En.p99;
-      if e.En.copies <= 0 then Alcotest.fail "copy count must stay positive")
+      Util.check_leq "p50 <= p95" e.Row.p50 e.Row.p95;
+      Util.check_leq "p95 <= p99" e.Row.p95 e.Row.p99;
+      if e.Row.copies <= 0 then Alcotest.fail "copy count must stay positive")
     r.En.epochs;
-  (* snapshots: one per epoch, counters cumulative and monotonic *)
-  Alcotest.(check int) "one snapshot per epoch" (List.length r.En.epochs)
-    (List.length r.En.snapshots);
-  let counter_of snap name =
-    match List.assoc name snap with Metrics.Counter c -> c | _ -> Alcotest.fail "not a counter"
+  (* the metrics JSON timeline: one snapshot per epoch, counters
+     cumulative and monotonic *)
+  let snaps =
+    match Jsonx.member_exn "epochs" (Jsonx.parse_exn (En.metrics_json inst r)) with
+    | Jsonx.Arr l -> l
+    | _ -> Alcotest.fail "epochs is not an array"
   in
+  Alcotest.(check int) "one snapshot per epoch" (List.length r.En.epochs) (List.length snaps);
   let rec monotonic last = function
     | [] -> ()
     | snap :: rest ->
-        let c = counter_of snap "events_total" in
+        let c =
+          match Option.bind (Jsonx.member "events_total" snap) Jsonx.to_int with
+          | Some c -> c
+          | None -> Alcotest.fail "events_total is not a counter"
+        in
         Util.check_leq "events_total monotonic" (float_of_int last) (float_of_int c);
         monotonic c rest
   in
-  monotonic 0 r.En.snapshots;
+  monotonic 0 snaps;
+  let counter_of snap name =
+    match List.assoc name snap with Metrics.Counter c -> c | _ -> Alcotest.fail "not a counter"
+  in
   Alcotest.(check int) "final counter = all events" t.En.events (counter_of r.En.final "events_total")
 
 let engine_resolve_beats_static_on_drift () =
@@ -535,10 +545,10 @@ let engine_dirty_filter_deterministic_and_skips () =
      back, and dirty + skipped covers every counted outcome *)
   List.iter
     (fun (e : En.epoch_stats) ->
-      Alcotest.(check int) "dirty = resolves + fallbacks" e.En.dirty
-        (e.En.resolves + e.En.solve_fallbacks);
+      Alcotest.(check int) "dirty = resolves + fallbacks" e.Row.dirty
+        (e.Row.resolves + e.Row.solve_fallbacks);
       Alcotest.(check int) "no cache traffic with the cache off" 0
-        (e.En.cache_hits + e.En.cache_misses + e.En.cache_evictions))
+        (e.Row.cache_hits + e.Row.cache_misses + e.Row.cache_evictions))
     r1.En.epochs;
   (* the filter only skips stable objects: the re-solve policy must
      still track the drift better than never replanning at all *)
@@ -615,12 +625,12 @@ let engine_solve_cache_hits_on_recurring_regimes () =
   let r = En.run ~config inst placement (List.to_seq events) in
   let k = I.objects inst in
   Alcotest.(check int) "first epoch misses once per object" k
-    (match r.En.epochs with e :: _ -> e.En.cache_misses | [] -> -1);
+    (match r.En.epochs with e :: _ -> e.Row.cache_misses | [] -> -1);
   Alcotest.(check int) "every later epoch hits for every object" (3 * k)
     r.En.totals.En.cache_hits;
   List.iter
     (fun (e : En.epoch_stats) ->
-      Alcotest.(check int) "hits + misses = dirty" e.En.dirty (e.En.cache_hits + e.En.cache_misses))
+      Alcotest.(check int) "hits + misses = dirty" e.Row.dirty (e.Row.cache_hits + e.Row.cache_misses))
     r.En.epochs;
   (* cache hits count as resolves (the placement row was recomputed,
      just not via the solver), so the invariant holds cache on or off *)

@@ -202,6 +202,7 @@ let trace_header_truncation_never_tolerated () =
 (* ---------- checkpoints ---------- *)
 
 module Ck = S.Checkpoint
+module Row = Dmn_core.Epoch_row
 
 let gen_checkpoint : Ck.t QCheck.Gen.t =
   let open QCheck.Gen in
@@ -215,43 +216,32 @@ let gen_checkpoint : Ck.t QCheck.Gen.t =
     array_repeat objects (list_size (int_range 1 3) (int_range 0 (nodes - 1)))
   in
   let* next_epoch = int_range 0 6 in
+  (* rows are generated column by column through the schema table, so
+     a new field is covered without touching this generator *)
   let* epochs =
     flatten_l
       (List.init next_epoch (fun index ->
-           let* events = int_range 0 50 in
-           let* reads = int_range 0 50 in
-           let* resolves = int_range 0 5 in
-           let* solve_retries = int_range 0 5 in
-           let* solve_fallbacks = int_range 0 5 in
-           let* copies = int_range 0 20 in
-           let* serving = dyadic in
-           let* storage = dyadic in
-           let* migration = dyadic in
-           let* p50 = dyadic in
-           let* p95 = dyadic in
-           let* p99 = dyadic in
-           let* dropped = int_range 0 10 in
-           let* emergency = int_range 0 3 in
-           let* topo_events = int_range 0 4 in
-           let* solve_skipped = int_range 0 5 in
-           let* dirty = int_range 0 5 in
-           let* cache_hits = int_range 0 5 in
-           let* cache_misses = int_range 0 5 in
-           let* cache_evictions = int_range 0 5 in
-           return
-             {
-               Ck.index; events; reads; writes = events - reads; resolves; solve_retries;
-               solve_fallbacks; copies; dropped; emergency; topo_events; serving; storage;
-               migration; p50; p95; p99; solve_skipped; dirty; cache_hits; cache_misses;
-               cache_evictions;
-             }))
+           let* vs =
+             flatten_l
+               (List.map
+                  (fun (fd : Row.field) ->
+                    match fd.zero with
+                    | Row.Int _ -> map (fun n -> Row.Int n) (int_range 0 50)
+                    | Row.Float _ -> map (fun x -> Row.Float x) dyadic)
+                  (Array.to_list Row.fields))
+           in
+           let vs = Array.of_list vs in
+           let k = ref 0 in
+           let r =
+             Row.make (fun _ ->
+                 let v = vs.(!k) in
+                 incr k;
+                 v)
+           in
+           return { r with Row.index }))
   in
-  (* writes may come out negative above; clamp rows to stay valid *)
-  let epochs =
-    List.map (fun (r : Ck.epoch_row) -> { r with Ck.writes = max 0 r.Ck.writes }) epochs
-  in
-  let events_consumed = List.fold_left (fun a (r : Ck.epoch_row) -> a + r.Ck.events) 0 epochs in
-  let topo_applied = List.fold_left (fun a (r : Ck.epoch_row) -> a + r.Ck.topo_events) 0 epochs in
+  let sums = Row.sum epochs in
+  let events_consumed = sums.Row.events and topo_applied = sums.Row.topo in
   let* topo_pending = int_range 0 3 in
   let* metric_version = int_range 1 50 in
   let* metric_hash = map Int64.of_int int in
@@ -333,8 +323,8 @@ let sample_checkpoint () =
     epochs =
       List.init 2 (fun index ->
           {
-            Ck.index; events = 100; reads = 80; writes = 20; resolves = 2; solve_retries = 1;
-            solve_fallbacks = 0; copies = 3; dropped = 4; emergency = 1; topo_events = 1;
+            Row.index; events = 100; reads = 80; writes = 20; resolves = 2; solve_retries = 1;
+            solve_fallbacks = 0; copies = 3; dropped = 4; emergency = 1; topo = 1;
             serving = 12.5; storage = 3.25; migration = 0.5;
             p50 = 1.0; p95 = 2.0; p99 = 4.0;
             solve_skipped = 1; dirty = 2; cache_hits = 1; cache_misses = 1; cache_evictions = 0;
@@ -430,6 +420,54 @@ let checkpoint_fingerprint_is_order_sensitive () =
   Alcotest.(check bool) "write bit matters" false
     (fold [ e2 ] = fold [ { e2 with S.Trace.write = false } ])
 
+(* The epoch-row table is the one schema the engine, the checkpoint and
+   the metrics JSON share: its accessors agree with its constructor, its
+   checkpoint columns are a permutation, its instrument names are all
+   registered exactly once, and the totals JSON is the summed fields. *)
+let epoch_row_schema_coverage () =
+  let module En = Dmn_engine.Engine in
+  let value k (fd : Row.field) =
+    match fd.zero with Row.Int _ -> Row.Int (k + 1) | Row.Float _ -> Row.Float (float_of_int k +. 0.5)
+  in
+  let k = ref (-1) in
+  let r =
+    Row.make (fun fd ->
+        incr k;
+        value !k fd)
+  in
+  Array.iteri
+    (fun i (fd : Row.field) ->
+      if fd.get r <> value i fd then Alcotest.failf "make and get disagree on %s" fd.name)
+    Row.fields;
+  let n = Array.length Row.fields in
+  Alcotest.(check (list int)) "checkpoint columns are a permutation" (List.init n Fun.id)
+    (List.sort compare (Array.to_list (Array.map (fun (fd : Row.field) -> fd.col) Row.fields)));
+  let rng = Rng.create 5 in
+  let inst = Util.random_graph_instance ~objects:2 rng 6 in
+  let placement = Dmn_core.Approx.solve inst in
+  let names = List.map fst (En.live_snapshot (En.create inst placement)) in
+  Array.iter
+    (fun (fd : Row.field) ->
+      List.iter
+        (fun name ->
+          Alcotest.(check int)
+            (name ^ " registered once")
+            1
+            (List.length (List.filter (String.equal name) names)))
+        (fd.gauge :: Option.to_list fd.counter))
+    Row.fields;
+  let events = Dmn_dynamic.Stream.stationary rng inst ~length:40 in
+  let run = En.run ~config:{ En.default_config with En.epoch = 16 } inst placement (List.to_seq events) in
+  let keys =
+    match Jsonx.member_exn "totals" (Jsonx.parse_exn (En.metrics_json inst run)) with
+    | Jsonx.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "totals is not an object"
+  in
+  Alcotest.(check (list string)) "totals keys"
+    (List.map (fun (fd : Row.field) -> fd.name) (Array.to_list Row.summed)
+    @ [ "final_copies"; "total_cost" ])
+    keys
+
 let suite =
   [
     Alcotest.test_case "instance round trip" `Quick instance_roundtrip;
@@ -448,4 +486,5 @@ let suite =
     Alcotest.test_case "checkpoint fingerprint order-sensitive" `Quick
       checkpoint_fingerprint_is_order_sensitive;
     Util.qtest qcheck_checkpoint_roundtrip;
+    Alcotest.test_case "epoch-row schema coverage" `Quick epoch_row_schema_coverage;
   ]

@@ -419,6 +419,29 @@ let daemon_lifecycle () =
   let written = In_channel.with_open_bin metrics_path In_channel.input_all in
   Alcotest.(check string) "daemon metrics == replay metrics" (reference ^ "\n") written
 
+(* ---------- a drained shutdown with trailing topology ---------- *)
+
+(* Topology pushed after the last full epoch is served by the drain as
+   an epoch of its own, so the final checkpoint's rows account for every
+   applied topology event and the directory checks clean. *)
+let drain_with_trailing_topology () =
+  let inst = small_instance 23 in
+  let placement = placement_for inst in
+  let items = items_for inst ~length:300 47 @ [ St.Topo (Dmn_paths.Churn.Node_down 3) ] in
+  let config = { En.default_config with En.policy = En.Resolve; epoch = 100 } in
+  let reference = En.metrics_json inst (En.run_items ~config inst placement (List.to_seq items)) in
+  with_tmp_dir "trailing-topo.ckptdir" @@ fun ckpt_path ->
+  let ckpt = Some { En.dir = ckpt_path; every = 1; keep = 3 } in
+  let core = Srv.Core.create { Srv.default_config with Srv.engine = config; ckpt } inst placement in
+  List.iter (fun item -> ignore (Srv.Core.push core item)) items;
+  Srv.Core.maybe_step core;
+  Srv.Core.shutdown ~drain:true core;
+  Alcotest.(check string) "drained core == replay" reference
+    (En.metrics_json inst (Srv.Core.result core));
+  match Dmn_core.Ckpt_store.fsck_res ckpt_path with
+  | Ok r -> Alcotest.(check int) "no corrupt generation" 0 r.Dmn_core.Ckpt_store.f_corrupt
+  | Error e -> Alcotest.failf "fsck failed: %s" (Err.to_string e)
+
 let suite =
   [
     Alcotest.test_case "core batcher matches replay (1/2/4 domains)" `Quick core_matches_replay;
@@ -431,4 +454,5 @@ let suite =
     Alcotest.test_case "wire lines classified" `Quick push_line_classifies;
     Alcotest.test_case "journal appender repairs torn tails" `Quick appender_repairs_torn_tail;
     Alcotest.test_case "daemon lifecycle over a socket" `Quick daemon_lifecycle;
+    Alcotest.test_case "drain with trailing topology" `Quick drain_with_trailing_topology;
   ]
