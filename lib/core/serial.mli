@@ -419,7 +419,7 @@ module Checkpoint : sig
   }
 
   (** The topology delta at checkpoint time: applied-churn network
-      state plus an integrity hash of the repaired metric, so a resume
+      state plus an integrity hash of the churned metric, so a resume
       that reconstructs a different matrix is refused. *)
   type topo_state = {
     metric_version : int;  (** {!Dmn_paths.Metric.version} of the churned metric *)

@@ -10,8 +10,8 @@ module Err = Dmn_prelude.Err
    fully cold without an O(n) fill.
 
    Under topology churn the metric itself mutates in place
-   ({!Metric.recompute_rows} and friends bump {!Metric.version}); the
-   cache records the metric version its memoized data was computed
+   ({!Churn.metric} refreshes it to the closure of the current network
+   and stamps a new {!Metric.version}); the cache records the metric version its memoized data was computed
    against and folds a mismatch into a placement-version bump, so the
    effective key is (placement version × metric version) at the cost of
    one extra int compare per query — a stale nearest-copy table can
@@ -106,7 +106,7 @@ let scan t v =
   done;
   (!bs, !bd)
 
-(* fold a metric repair into a placement-version bump: one branch per
+(* fold a metric refresh into a placement-version bump: one branch per
    query keeps the (placement × metric) keying free of a wider stamp *)
 let sync_metric t =
   let mv = Metric.version t.metric in

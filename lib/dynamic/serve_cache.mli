@@ -19,7 +19,7 @@
     so cached and uncached runs produce bit-identical costs.
 
     The cache also watches {!Dmn_paths.Metric.version}: when the metric
-    is repaired in place after a topology event, the next query folds
+    is refreshed in place after a topology event, the next query folds
     the change into a placement-version bump, invalidating every memo —
     the effective cache key is (placement version × metric version), so
     a nearest-copy table computed before a network change can never be
@@ -48,7 +48,7 @@ val mem : t -> int -> bool
 
 (** [version t] is the current placement version (starts at 1; each
     mutation that actually changes the copy set increments it, as does
-    the first query after an in-place metric repair). *)
+    the first query after an in-place metric refresh). *)
 val version : t -> int
 
 (** [set_copies t copies] replaces the copy set ([copies] sorted

@@ -363,7 +363,7 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
      placement was designed for. Until the first topology event the
      copy's distances are bit-identical to [metric], so churn-capable
      runs replay topology-free traces byte-identically to the old
-     engine. Metric-only instances have no graph to repair, so any
+     engine. Metric-only instances have no graph to churn, so any
      topology item is rejected at ingest. *)
   let churn = match I.graph inst with Some g -> Some (Churn.create g metric) | None -> None in
   let live_metric = match churn with Some ch -> Churn.metric ch | None -> metric in
@@ -372,9 +372,10 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
      fan-out does O(1) reads per event instead of O(c) scans. With
      [serve_cache = false] the same structures recompute every query —
      the uncached baseline; costs are bit-identical either way. The
-     caches read the churned metric: after a repair bumps
-     {!Metric.version} the next query folds it into a placement-version
-     bump, so no stale distance survives a topology event. *)
+     caches read the churned metric: after the boundary's refresh
+     stamps a new {!Metric.version} the next query folds it into a
+     placement-version bump, so no stale distance survives a topology
+     event. *)
   let caches =
     Array.init k (fun x ->
         Sc.create ~cached:config.serve_cache live_metric ~x (P.copies placement ~x))
@@ -510,17 +511,36 @@ let create ?pool ?(config = default_config) ?ckpt ?resume inst placement =
       t.next_index <- c.next_epoch);
   t
 
-let fast_forward t items =
+(* Resume positions the trace after the checkpoint's coverage and
+   restores the network the checkpointed run was serving. [items]
+   begins at absolute item [base] (requests and topology items
+   combined): 0 for a whole trace, more for a journal chain whose
+   oldest segments were pruned. With the whole prefix in hand the
+   trace-identity fingerprint and the request/topology mix are
+   recomputed and checked; a pruned prefix cannot be, but pruning only
+   removes what a durable checkpoint covers, so the chain's consumed
+   tail is skipped by position. Either way the network comes straight
+   from the checkpoint's topology section — no topology event is
+   replayed: the churned metric is a pure function of the overrides
+   and the down set, so its hash proves the rebuild. *)
+let fast_forward t ~base items =
+  if base < 0 then invalid_arg "Engine.fast_forward: negative base";
   match t.pending_resume with
-  | None -> items
+  | None when base = 0 -> items
+  | None ->
+      Err.failf Err.Validation
+        "resume: the journal begins at item %d (older segments pruned) but there is no \
+         checkpoint covering the pruned prefix"
+        base
   | Some (c : Ckpt.t) ->
-      (* fast-forward: skip the consumed prefix (requests and topology
-         items both) while recomputing the trace-identity hash, then
-         refuse a trace that differs. Consumed topology items are
-         collected in order so the churn state can be replayed and
-         checked against the checkpoint's topology section. *)
-      let rec forward seq nreq ntopo acc fp =
-        if nreq = c.events_consumed && ntopo = c.topo_consumed then (seq, List.rev acc, fp)
+      let covered = c.events_consumed + c.topo_consumed in
+      if base > covered then
+        Err.failf Err.Validation
+          "resume: the journal begins at item %d but the checkpoint only covers %d items — \
+           segments were pruned beyond the checkpoint"
+          base covered;
+      let rec forward seq nreq ntopo fp =
+        if nreq = c.events_consumed && ntopo = c.topo_consumed then (seq, fp)
         else
           match Seq.uncons seq with
           | None ->
@@ -534,140 +554,64 @@ let fast_forward t items =
                   "resume: item mix diverges from the checkpoint — a request event arrives \
                    after all %d checkpointed requests but before topology item %d of %d"
                   c.events_consumed (ntopo + 1) c.topo_consumed;
-              forward rest (nreq + 1) ntopo acc (fp_event fp e)
+              forward rest (nreq + 1) ntopo (fp_event fp e)
           | Some (Stream.Topo tp, rest) ->
               if ntopo = c.topo_consumed then
                 Err.failf Err.Validation
                   "resume: item mix diverges from the checkpoint — a topology item arrives \
                    after all %d checkpointed topology items but before request %d of %d"
                   c.topo_consumed (nreq + 1) c.events_consumed;
-              forward rest nreq (ntopo + 1) (tp :: acc) (Ckpt.fingerprint_topo fp tp)
+              forward rest nreq (ntopo + 1) (Ckpt.fingerprint_topo fp tp)
       in
-      let rest, topo_prefix, fp = forward items 0 0 [] t.fingerprint in
-      if fp <> c.fingerprint then
-        Err.failf Err.Validation
-          "resume: trace fingerprint %016Lx does not match the checkpoint's %016Lx — the \
-           first %d events differ from the run that wrote it"
-          fp c.fingerprint c.events_consumed;
-      t.fingerprint <- fp;
-      t.seen <- c.events_consumed;
-      (* replay the consumed topology events and prove the rebuilt
-         network matches the checkpoint's recorded state exactly —
-         version counter, distance-matrix hash, down set, overrides *)
-      (if topo_prefix <> [] then
+      let rec skip seq remaining =
+        if remaining = 0 then seq
+        else
+          match Seq.uncons seq with
+          | None ->
+              Err.failf Err.Validation
+                "resume: the journal chain ends %d items short of the checkpoint's coverage \
+                 (%d consumed, chain base %d)"
+                remaining covered base
+          | Some (_, rest) -> skip rest (remaining - 1)
+      in
+      let rest =
+        if base > 0 then skip items (covered - base)
+        else begin
+          let rest, fp = forward items 0 0 t.fingerprint in
+          if fp <> c.fingerprint then
+            Err.failf Err.Validation
+              "resume: trace fingerprint %016Lx does not match the checkpoint's %016Lx — the \
+               first %d events differ from the run that wrote it"
+              fp c.fingerprint c.events_consumed;
+          rest
+        end
+      in
+      (if c.topo_applied > 0 || c.topo <> Ckpt.no_topo then
          match t.churn with
          | None ->
              Err.fail Err.Validation
-               "resume: the checkpoint consumed topology events but this instance has no \
-                graph to replay them against (metric-only instance)"
+               "resume: the checkpoint records topology state but this instance has no graph to \
+                rebuild it on (metric-only instance)"
          | Some ch ->
-             List.iter (Churn.apply ch) topo_prefix;
-             let cm = Churn.metric ch in
-             if Metric.version cm <> c.topo.Ckpt.metric_version
-                || Metric.hash64 cm <> c.topo.Ckpt.metric_hash
-             then
+             let tp = c.topo in
+             Churn.restore ch ~overrides:tp.Ckpt.edge_overrides ~down:tp.Ckpt.down
+               ~events:c.topo_applied ~version:tp.Ckpt.metric_version;
+             let h = Metric.hash64 (Churn.metric ch) in
+             if h <> tp.Ckpt.metric_hash then
                Err.failf Err.Validation
-                 "resume: replayed topology state (metric version %d, hash %016Lx) does not \
-                  match the checkpoint's (version %d, hash %016Lx)"
-                 (Metric.version cm) (Metric.hash64 cm) c.topo.Ckpt.metric_version
-                 c.topo.Ckpt.metric_hash;
-             if Churn.down_nodes ch <> c.topo.Ckpt.down then
-               Err.fail Err.Validation
-                 "resume: replayed down-node set does not match the checkpoint's";
-             if Churn.overrides ch <> c.topo.Ckpt.edge_overrides then
-               Err.fail Err.Validation
-                 "resume: replayed edge overrides do not match the checkpoint's");
+                 "resume: rebuilt topology state (metric hash %016Lx) does not match the \
+                  checkpoint's (%016Lx)"
+                 h tp.Ckpt.metric_hash;
+             if Churn.down_nodes ch <> tp.Ckpt.down then
+               Err.fail Err.Validation "resume: rebuilt down-node set does not match the checkpoint's";
+             if Churn.overrides ch <> tp.Ckpt.edge_overrides then
+               Err.fail Err.Validation "resume: rebuilt edge overrides do not match the checkpoint's");
+      t.fingerprint <- c.fingerprint;
+      t.seen <- c.events_consumed;
       t.topo_consumed <- c.topo_consumed;
       t.topo_applied <- c.topo_applied;
       t.pending_resume <- None;
       rest
-
-(* Resume against a journal whose oldest segments have been pruned: the
-   surviving chain begins at absolute item [base] (requests and
-   topology items combined), so the fingerprint of the full consumed
-   prefix cannot be recomputed. The checkpoint vouches for the pruned
-   part — pruning only ever removes segments a durable checkpoint
-   covers — so the chain's already-consumed tail is skipped
-   positionally and the churn state is rebuilt by synthesizing events
-   that reproduce the checkpoint's recorded overrides and down set
-   against the pristine graph. Repairs are exact, so a matching
-   distance-matrix hash proves the rebuilt network is the one the
-   original run was serving. [base = 0] is exactly {!fast_forward}. *)
-let fast_forward_from t ~base items =
-  if base < 0 then invalid_arg "Engine.fast_forward_from: negative base";
-  if base = 0 then fast_forward t items
-  else
-    match t.pending_resume with
-    | None ->
-        Err.failf Err.Validation
-          "resume: the journal begins at item %d (older segments pruned) but there is no \
-           checkpoint covering the pruned prefix"
-          base
-    | Some (c : Ckpt.t) ->
-        let covered = c.events_consumed + c.topo_consumed in
-        if base > covered then
-          Err.failf Err.Validation
-            "resume: the journal begins at item %d but the checkpoint only covers %d items — \
-             segments were pruned beyond the checkpoint"
-            base covered;
-        let rec skip seq remaining =
-          if remaining = 0 then seq
-          else
-            match Seq.uncons seq with
-            | None ->
-                Err.failf Err.Validation
-                  "resume: the journal chain ends %d items short of the checkpoint's coverage \
-                   (%d consumed, chain base %d)"
-                  remaining covered base
-            | Some (_, rest) -> skip rest (remaining - 1)
-        in
-        let rest = skip items (covered - base) in
-        t.fingerprint <- c.fingerprint;
-        t.seen <- c.events_consumed;
-        (match t.churn with
-        | Some ch when c.topo <> Ckpt.no_topo ->
-            let pristine =
-              match I.graph t.inst with Some g -> g | None -> assert false (* churn implies graph *)
-            in
-            (* Edge events first, while every node is still alive, so
-               each synthesized event passes [Churn.apply]'s liveness
-               and presence validation; then fail the down set. *)
-            List.iter
-              (fun ((u, v), ov) ->
-                match ov with
-                | Some w ->
-                    if Wgraph.has_edge pristine u v then
-                      Churn.apply ch (Churn.Edge_weight { u; v; w })
-                    else Churn.apply ch (Churn.Edge_up { u; v; w })
-                | None ->
-                    if Wgraph.has_edge pristine u v then Churn.apply ch (Churn.Edge_down { u; v })
-                    else begin
-                      (* an edge added then removed during the pruned
-                         prefix: reproduce its Removed override *)
-                      Churn.apply ch (Churn.Edge_up { u; v; w = 1.0 });
-                      Churn.apply ch (Churn.Edge_down { u; v })
-                    end)
-              c.topo.Ckpt.edge_overrides;
-            List.iter (fun z -> Churn.apply ch (Churn.Node_down z)) c.topo.Ckpt.down;
-            let cm = Churn.metric ch in
-            if Metric.hash64 cm <> c.topo.Ckpt.metric_hash then
-              Err.failf Err.Validation
-                "resume: rebuilt topology state (metric hash %016Lx) does not match the \
-                 checkpoint's (%016Lx)"
-                (Metric.hash64 cm) c.topo.Ckpt.metric_hash;
-            if Churn.down_nodes ch <> c.topo.Ckpt.down then
-              Err.fail Err.Validation "resume: rebuilt down-node set does not match the checkpoint's";
-            if Churn.overrides ch <> c.topo.Ckpt.edge_overrides then
-              Err.fail Err.Validation "resume: rebuilt edge overrides do not match the checkpoint's"
-        | None when c.topo <> Ckpt.no_topo ->
-            Err.fail Err.Validation
-              "resume: the checkpoint records topology state but this instance has no graph to \
-               rebuild it on (metric-only instance)"
-        | _ -> ());
-        t.topo_consumed <- c.topo_consumed;
-        t.topo_applied <- c.topo_applied;
-        t.pending_resume <- None;
-        rest
 
 let ensure_capacity t =
   if t.len = Array.length t.buffer then begin
@@ -712,8 +656,9 @@ let ingest t = function
       t.len <- t.len + 1
 
 (* Drain the pending topology queue at the epoch boundary (after
-   ingest, before serving): each event repairs the churned metric in
-   place. Then scan for objects whose {e entire} copy set is now on
+   ingest, before serving) and force the churned metric's closure once,
+   however many events the batch held, so every serve cache reads the
+   current network. Then scan for objects whose {e entire} copy set is now on
    dead nodes — they would be unreachable from everywhere — and
    emergency-re-replicate each onto the live node nearest its old
    copy set (by the pristine metric: the distances the data actually
@@ -734,6 +679,7 @@ let apply_pending t index =
           incr applied;
           t.topo_applied <- t.topo_applied + 1
         done;
+        ignore (Churn.metric ch : Metric.t);
         let needy = ref [] in
         for x = t.k - 1 downto 0 do
           let cps = Sc.copies_array t.caches.(x) in
@@ -1351,7 +1297,7 @@ let finish t : result =
 
 let run_items ?pool ?config ?ckpt ?resume ?(base = 0) inst placement items =
   let eng = create ?pool ?config ?ckpt ?resume inst placement in
-  let items = fast_forward_from eng ~base items in
+  let items = fast_forward eng ~base items in
   let epoch = eng.config.epoch in
   (* Pull one epoch's worth of items — [epoch] requests plus any
      interleaved topology items — forcing the sequence no further than

@@ -47,10 +47,11 @@
       topology items (edge reweight/removal/addition, node
       failure/recovery — {!Dmn_paths.Churn.event}) with requests. On a
       graph-backed instance the engine keeps a {!Dmn_paths.Churn}
-      handle over a private copy of the metric and repairs it
-      incrementally; topology items collected while reading an epoch
-      take effect {e at the start of that epoch} (the engine's time
-      resolution), before any of its requests are served. Requests from
+      handle over a private copy of the metric and re-closes it once
+      per boundary that carried events; topology items collected while
+      reading an epoch take effect {e at the start of that epoch} (the
+      engine's time resolution), before any of its requests are
+      served. Requests from
       dead nodes, and requests partitioned away from every copy, are
       {e dropped and counted} rather than served; an object whose whole
       copy set dies is emergency-re-replicated onto the nearest live
@@ -59,10 +60,10 @@
       distances clamped to a finite penalty, storage forbidden on dead
       nodes — while [Cache] refuses topology items (its threshold state
       cannot track a changing metric), as do metric-only instances
-      (nothing to repair). Checkpoints record the topology delta
+      (nothing to churn). Checkpoints record the topology delta
       (overrides, down set, metric version and hash), and resume
-      replays and verifies it, so kill-and-resume stays byte-identical
-      under churn.
+      restores the network from it and verifies the hash, so
+      kill-and-resume stays byte-identical under churn.
     - {b Telemetry.} Each epoch commits one {!Dmn_core.Epoch_row} and
       records it in a {!Dmn_prelude.Metrics} registry (cumulative
       counters, per-epoch gauges, a log-scale histogram of per-request
@@ -249,10 +250,10 @@ val run :
     count toward the epoch size — an epoch is [epoch] {e requests}.
     [?base] (default 0) is the absolute item index [items] starts at,
     for replaying a partially-pruned journal chain with [?resume] —
-    see {!fast_forward_from}.
+    see {!fast_forward}, which every resume goes through.
     @raise Dmn_prelude.Err.Error (kind [Validation]) additionally on a
     topology item under the [Cache] policy or on a metric-only
-    instance, and on resume when the replayed topology state disagrees
+    instance, and on resume when the restored topology state disagrees
     with the checkpoint's recorded delta. *)
 val run_items :
   ?pool:Dmn_prelude.Pool.t ->
@@ -296,31 +297,30 @@ val create :
   Dmn_core.Placement.t ->
   t
 
-(** [fast_forward t items] skips the checkpoint's consumed prefix of
-    [items] — recomputing and verifying the trace fingerprint and
-    replaying consumed topology events against the checkpoint's
-    recorded network state — and returns the remainder. On an engine
-    created without [?resume] it returns [items] unchanged. Must be
-    called (once) before {!step} on a resumed engine.
+(** [fast_forward t ~base items] skips the checkpoint's consumed prefix
+    of [items] and returns the remainder; it is the one resume path of
+    the one-shot drivers and the daemon. [items] begins at absolute item
+    index [base] (requests and topology items combined): 0 for a whole
+    trace, the chain's [base] for a journal whose oldest segments were
+    pruned ({!Dmn_core.Serial.Trace.Journal.read_chain}). The checkpoint
+    must cover at least [base] items. With [base = 0] the trace
+    fingerprint and the request/topology item mix of the prefix are
+    recomputed and checked; with [base > 0] the chain's covered tail is
+    skipped by position (pruning only removes what a durable checkpoint
+    vouches for). The network is then restored straight from the
+    checkpoint's topology section ({!Dmn_paths.Churn.restore}: overrides,
+    down set, applied-event count and metric version) — no topology
+    event is replayed — and checked against its recorded metric hash,
+    down set and overrides. On an engine created without [?resume] it
+    returns [items] unchanged when [base = 0]. Must be called (once)
+    before {!step} on a resumed engine.
     @raise Dmn_prelude.Err.Error (kind [Validation]) when the trace
-    disagrees with the checkpoint. *)
+    disagrees with the checkpoint, [base] exceeds the checkpoint's
+    coverage (or is positive with no checkpoint), the chain is shorter
+    than the coverage, or the restored network disagrees with the
+    checkpoint.
+    @raise Invalid_argument on a negative [base]. *)
 val fast_forward :
-  t -> Dmn_dynamic.Stream.item Seq.t -> Dmn_dynamic.Stream.item Seq.t
-
-(** [fast_forward_from t ~base items] is {!fast_forward} for a journal
-    chain whose oldest segments have been pruned: [items] begins at
-    absolute item index [base] (requests and topology items combined,
-    {!Dmn_core.Serial.Trace.Journal.read_chain}'s [base]). The
-    checkpoint must cover at least [base] items; the chain's consumed
-    tail is skipped positionally (the full-prefix fingerprint cannot be
-    recomputed — pruning only removes what a durable checkpoint
-    vouches for) and the network state is rebuilt from the checkpoint's
-    topology section and verified against its distance-matrix hash.
-    [base = 0] is exactly {!fast_forward}.
-    @raise Dmn_prelude.Err.Error (kind [Validation]) when [base]
-    exceeds the checkpoint's coverage, the chain is shorter than the
-    coverage, or the rebuilt network disagrees with the checkpoint. *)
-val fast_forward_from :
   t -> base:int -> Dmn_dynamic.Stream.item Seq.t -> Dmn_dynamic.Stream.item Seq.t
 
 (** [step t items] consumes one epoch: topology items queue for the

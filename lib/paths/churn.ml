@@ -17,18 +17,21 @@ let event_to_string = function
 
 type override = Removed | Weight of float
 
-(* The network state is (pristine graph, edge overrides, node liveness):
-   the current graph is derived, never drifted — the pristine edges with
-   overrides applied, plus added edges, minus anything touching a dead
-   node. The metric is a private copy of the pristine closure, repaired
-   in place after each event with the cheapest sound update (see
-   [Metric]'s repair primitives). *)
+(* The network state is (pristine graph, edge overrides, node liveness);
+   the current graph and its metric are derived from it, never drifted.
+   [apply] only edits the state and bumps [version]; [graph] rebuilds
+   on demand, and [metric] refreshes the private metric copy to the
+   closure of the current graph whenever its version lags [version].
+   The metric is therefore a pure function of the state, whatever
+   sequence of events produced it — which is what lets a resume rebuild
+   it from a checkpoint's topology section alone. *)
 type t = {
   pristine : Wgraph.t;
   metric : Metric.t;
   alive : bool array;
   overrides : (int * int, override) Hashtbl.t;
-  mutable graph : Wgraph.t;
+  mutable graph : Wgraph.t option;  (* [None]: stale, rebuilt on demand *)
+  mutable version : int;  (* the version [metric] carries once fresh *)
   mutable events_applied : int;
 }
 
@@ -39,12 +42,11 @@ let create g m =
     metric = Metric.copy m;
     alive = Array.make (Wgraph.n g) true;
     overrides = Hashtbl.create 16;
-    graph = g;
+    graph = Some g;
+    version = Metric.version m;
     events_applied = 0;
   }
 
-let graph t = t.graph
-let metric t = t.metric
 let alive t z = t.alive.(z)
 let events_applied t = t.events_applied
 let churned t = t.events_applied > 0
@@ -75,13 +77,6 @@ let present t u v =
   | Some (Weight _) -> true
   | None -> Wgraph.has_edge t.pristine u v
 
-let logical_weight t u v =
-  let key = canon u v in
-  match Hashtbl.find_opt t.overrides key with
-  | Some (Weight w) -> Some w
-  | Some Removed -> None
-  | None -> ( match Wgraph.edge_weight t.pristine u v with w -> Some w | exception Not_found -> None)
-
 let rebuild t =
   let n = Wgraph.n t.pristine in
   let edges = ref [] in
@@ -100,131 +95,85 @@ let rebuild t =
     t.overrides;
   let live = List.filter (fun (u, v, _) -> t.alive.(u) && t.alive.(v)) !edges in
   (* hash-order independence: a canonical edge order keeps the CSR
-     layout — and with it every Dijkstra tie-break — deterministic.
-     The monomorphic comparator matters: rebuild runs on every event,
-     and polymorphic compare on edge triples dominates repair time. *)
-  let edge_compare (u1, v1, (w1 : float)) (u2, v2, w2) =
-    if (u1 : int) <> u2 then compare u1 u2
-    else if (v1 : int) <> v2 then compare v1 v2
-    else compare w1 w2
-  in
-  t.graph <- Wgraph.create n (List.sort edge_compare live)
+     layout — and with it every Dijkstra tie-break — deterministic *)
+  Wgraph.create n (List.sort compare live)
 
-(* A source row can only change when the edge (u, v) of old weight [w]
-   sat on one of its shortest-path trees, which forces d(i,v) =
-   d(i,u) + w (or symmetrically) up to float slack. The tolerance makes
-   the test conservative: a row selected spuriously is recomputed to
-   the same distances, a row skipped spuriously would go stale. *)
-let edge_tight diu div_ w =
-  Float.is_finite diu && diu +. w <= div_ +. (1e-9 *. (1.0 +. Float.abs div_))
+let graph t =
+  match t.graph with
+  | Some g -> g
+  | None ->
+      let g = rebuild t in
+      t.graph <- Some g;
+      g
 
-let affected_by_edge t ~u ~v ~w_old =
-  let m = t.metric in
-  let n = Metric.size m in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    let diu = Metric.d m i u and div_ = Metric.d m i v in
-    if edge_tight diu div_ w_old || edge_tight div_ diu w_old then acc := i :: !acc
-  done;
-  !acc
-
-let affected_by_node t z =
-  let m = t.metric in
-  let n = Metric.size m in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    if i = z then acc := i :: !acc
-    else
-      let diz = Metric.d m i z in
-      if Float.is_finite diz then begin
-        let hit = ref false in
-        let j = ref 0 in
-        while (not !hit) && !j < n do
-          if !j <> z then begin
-            let dij = Metric.d m i !j in
-            if
-              Float.is_finite dij
-              && diz +. Metric.d m z !j <= dij +. (1e-9 *. (1.0 +. dij))
-            then hit := true
-          end;
-          incr j
-        done;
-        if !hit then acc := i :: !acc
-      end
-  done;
-  !acc
+let metric t =
+  if Metric.version t.metric <> t.version then Metric.refresh t.metric (graph t) ~version:t.version;
+  t.metric
 
 let fail_validation fmt = Err.failf Err.Validation fmt
 
+let check_node t what z =
+  let n = Array.length t.alive in
+  if z < 0 || z >= n then fail_validation "churn: %s node %d out of range [0, %d)" what z n
+
+let check_pair t u v =
+  check_node t "edge" u;
+  check_node t "edge" v;
+  if u = v then fail_validation "churn: self-loop %d-%d" u v
+
+let check_weight w =
+  if (not (Float.is_finite w)) || w < 0.0 then
+    fail_validation "churn: edge weight %g must be finite and non-negative" w
+
+let stale t =
+  t.graph <- None;
+  t.version <- t.version + 1
+
 let apply t ev =
-  let n = Wgraph.n t.pristine in
-  let check_node what z =
-    if z < 0 || z >= n then fail_validation "churn: %s node %d out of range [0, %d)" what z n
-  in
-  let check_pair u v =
-    check_node "edge" u;
-    check_node "edge" v;
-    if u = v then fail_validation "churn: self-loop %d-%d" u v
-  in
-  let check_weight w =
-    if (not (Float.is_finite w)) || w < 0.0 then
-      fail_validation "churn: edge weight %g must be finite and non-negative" w
-  in
   (match ev with
   | Edge_weight { u; v; w } ->
-      check_pair u v;
+      check_pair t u v;
       check_weight w;
-      (match logical_weight t u v with
-      | None -> fail_validation "churn: edge-weight on absent edge %d-%d" u v
-      | Some w_old ->
-          Hashtbl.replace t.overrides (canon u v) (Weight w);
-          if not (t.alive.(u) && t.alive.(v)) then
-            (* the edge is absent from the live graph, so neither the
-               graph nor the metric changes; the next structural
-               rebuild re-derives the weight from the override *)
-            Metric.touch t.metric
-          else begin
-            (* weight-only change: patch the CSR in place of a full
-               rebuild — the edge set is unchanged, and rebuild's
-               validation + sort would dominate the repair itself *)
-            t.graph <- Wgraph.with_edge_weight t.graph u v w;
-            if w < w_old then Metric.relax_edge t.metric ~u ~v ~w
-            else if w > w_old then
-              Metric.recompute_rows t.metric t.graph (affected_by_edge t ~u ~v ~w_old)
-            else Metric.touch t.metric
-          end)
+      if not (present t u v) then fail_validation "churn: edge-weight on absent edge %d-%d" u v;
+      Hashtbl.replace t.overrides (canon u v) (Weight w)
   | Edge_down { u; v } ->
-      check_pair u v;
-      (match logical_weight t u v with
-      | None -> fail_validation "churn: edge-down on absent edge %d-%d" u v
-      | Some w_old ->
-          let affected =
-            if t.alive.(u) && t.alive.(v) then affected_by_edge t ~u ~v ~w_old else []
-          in
-          Hashtbl.replace t.overrides (canon u v) Removed;
-          rebuild t;
-          if affected = [] then Metric.touch t.metric
-          else Metric.recompute_rows t.metric t.graph affected)
+      check_pair t u v;
+      if not (present t u v) then fail_validation "churn: edge-down on absent edge %d-%d" u v;
+      Hashtbl.replace t.overrides (canon u v) Removed
   | Edge_up { u; v; w } ->
-      check_pair u v;
+      check_pair t u v;
       check_weight w;
       if present t u v then fail_validation "churn: edge-up on already-present edge %d-%d" u v;
-      Hashtbl.replace t.overrides (canon u v) (Weight w);
-      rebuild t;
-      if t.alive.(u) && t.alive.(v) then Metric.relax_edge t.metric ~u ~v ~w
-      else Metric.touch t.metric
+      Hashtbl.replace t.overrides (canon u v) (Weight w)
   | Node_down z ->
-      check_node "down" z;
+      check_node t "down" z;
       if not t.alive.(z) then fail_validation "churn: node-down on already-down node %d" z;
-      let affected = affected_by_node t z in
-      t.alive.(z) <- false;
-      rebuild t;
-      Metric.recompute_rows t.metric t.graph affected
+      t.alive.(z) <- false
   | Node_up z ->
-      check_node "up" z;
+      check_node t "up" z;
       if t.alive.(z) then fail_validation "churn: node-up on live node %d" z;
-      t.alive.(z) <- true;
-      rebuild t;
-      Metric.recompute_rows t.metric t.graph [ z ];
-      Metric.relax_via t.metric z);
+      t.alive.(z) <- true);
+  stale t;
   t.events_applied <- t.events_applied + 1
+
+let restore t ~overrides ~down ~events ~version =
+  if t.events_applied > 0 then invalid_arg "Churn.restore: the handle has already applied events";
+  if events < 0 then fail_validation "churn: restored event count %d is negative" events;
+  if version <= t.version then
+    fail_validation "churn: restored metric version %d does not exceed the pristine %d" version
+      t.version;
+  List.iter
+    (fun ((u, v), w) ->
+      check_pair t u v;
+      Option.iter check_weight w)
+    overrides;
+  List.iter (check_node t "down") down;
+  List.iter
+    (fun ((u, v), w) ->
+      Hashtbl.replace t.overrides (canon u v)
+        (match w with Some w -> Weight w | None -> Removed))
+    overrides;
+  List.iter (fun z -> t.alive.(z) <- false) down;
+  t.graph <- None;
+  t.version <- version;
+  t.events_applied <- events

@@ -2,15 +2,26 @@
     fail, recover, and change weight over time.
 
     The state is the pristine graph plus a set of edge overrides and a
-    node-liveness vector; the {e current} graph is always derived from
-    those (deterministically — edges sorted canonically so the CSR
-    layout, and with it every Dijkstra tie-break, is independent of
-    event order or hash-table internals). The metric is a private copy
-    of the pristine closure repaired in place after each event with the
-    cheapest sound update from {!Metric}'s repair primitives, so a
-    single-edge event costs far less than a full
-    {!Metric.of_graph} recompute. Pairs a partition disconnects are
-    stored as [infinity]. *)
+    node-liveness vector. Everything else is derived from that state
+    alone, never from the history of events that produced it:
+    - the {e current} graph is rebuilt with its edges sorted
+      canonically, so the CSR layout (and with it every Dijkstra
+      tie-break) is independent of event order and hash-table
+      internals;
+    - the metric is the shortest-path closure of the current graph
+      ({!Metric.refresh}), with pairs a partition disconnects stored as
+      [infinity]. An all-pristine state closes to exactly the bits of
+      {!Metric.of_graph} on the pristine graph.
+
+    {b Lazy contract.} {!apply} only validates the event and edits the
+    state; the graph and metric go stale. {!graph} and {!metric}
+    recompute them on first use after a change — one closure (one
+    Dijkstra per node) however many events came before it. Between an
+    {!apply} and the next {!metric} call the metric value still holds
+    the {e previous} closure, unchanged version included, so a consumer
+    holding it (a {!Dmn_dynamic.Serve_cache}) must call {!metric}
+    before reading after events; the engine does so once per epoch
+    boundary, before serving. *)
 
 open Dmn_graph
 
@@ -34,24 +45,44 @@ type t
     never mutated). @raise Invalid_argument on a size mismatch. *)
 val create : Wgraph.t -> Metric.t -> t
 
-(** [apply t ev] applies one event: updates the override/liveness
-    state, rebuilds the current graph, and repairs the metric in place
-    (bumping {!Metric.version}).
+(** [apply t ev] applies one event to the override/liveness state and
+    marks the graph and metric stale; it computes no distances.
     @raise Dmn_prelude.Err.Error (kind [Validation]) on an inconsistent
     event: out-of-range node, self-loop, bad weight, reweighting or
     removing an absent edge, adding a present edge, failing a dead node
     or reviving a live one. The state is unchanged on failure. *)
 val apply : t -> event -> unit
 
+(** [restore t ~overrides ~down ~events ~version] sets a handle no event
+    has touched to a recorded state — the edge overrides and down set in
+    {!overrides}/{!down_nodes} form, the number of events that produced
+    it, and the metric version it carried — without replaying any event.
+    The next {!metric} computes the closure and stamps [version].
+    @raise Dmn_prelude.Err.Error (kind [Validation]) on an out-of-range
+    node, a self-loop, a bad weight, a negative [events], or a
+    [version] not above the pristine metric's. The state is unchanged
+    on failure.
+    @raise Invalid_argument if [t] has already applied events. *)
+val restore :
+  t ->
+  overrides:((int * int) * float option) list ->
+  down:int list ->
+  events:int ->
+  version:int ->
+  unit
+
 (** [graph t] is the current graph: pristine edges with overrides
-    applied, minus every edge incident to a down node. *)
+    applied, minus every edge incident to a down node — rebuilt here if
+    an event made it stale. *)
 val graph : t -> Wgraph.t
 
-(** [metric t] is the repaired metric for the current graph. Distances
-    involving a down node, or between nodes a partition separates, are
-    [infinity]. The same value (physically) is returned across events —
-    it is repaired in place, so consumers must key caches on
-    {!Metric.version}. *)
+(** [metric t] is the closure of the current graph, refreshed here if
+    an event made it stale. Distances involving a down node, or between
+    nodes a partition separates, are [infinity]. The same value
+    (physically) is returned across events — it is refreshed in place,
+    and its {!Metric.version} advances by one per applied event (from
+    the restored version after {!restore}), so consumers key caches on
+    that version. *)
 val metric : t -> Metric.t
 
 val alive : t -> int -> bool

@@ -6,18 +6,17 @@ open Dmn_prelude
    scans and MST subset loops of the serve path walk rows without
    chasing a per-row pointer, and the whole metric is one allocation.
 
-   [version] supports topology churn: every in-place repair
-   ({!recompute_rows}, {!relax_edge}, {!relax_via}, {!touch}) bumps it,
-   so consumers that memoize derived data (the per-placement serve
-   caches) can key their state on (placement version × metric version)
-   and can never serve a distance that predates a network change. *)
+   [version] supports topology churn: {!refresh} recomputes the closure
+   in place and stamps a new version, so consumers that memoize derived
+   data (the per-placement serve caches) can key their state on
+   (placement version × metric version) and can never serve a distance
+   that predates a network change. *)
 type t = { n : int; flat : float array; mutable version : int }
 
 type row = { data : float array; off : int }
 
 let size m = m.n
 let version m = m.version
-let touch m = m.version <- m.version + 1
 let copy m = { n = m.n; flat = Array.copy m.flat; version = m.version }
 let d m u v = m.flat.((u * m.n) + v)
 let unsafe_d m u v = Array.unsafe_get m.flat ((u * m.n) + v)
@@ -33,30 +32,37 @@ let of_rows n rows =
   Array.iteri (fun v r -> Array.blit r 0 flat (v * n) n) rows;
   { n; flat; version = 1 }
 
-(* One Dijkstra per source row; rows are independent, so fan out over
-   the domain pool in chunked batches (bit-identical to the sequential
-   closure). Each chunk reuses one Dijkstra scratch and writes its rows
-   straight into the flat storage — no per-row intermediate arrays. *)
+(* One Dijkstra per source row of [g] in [lo, hi), written straight
+   into the flat storage with one reused scratch — no per-row
+   intermediate arrays. [each v] runs before row [v]. *)
+let close_rows flat g ~each lo hi =
+  let n = Wgraph.n g in
+  let s = Dijkstra.scratch n in
+  for v = lo to hi - 1 do
+    each v;
+    Array.blit (Dijkstra.run_scratch s g v) 0 flat (v * n) n
+  done
+
+(* Rows are independent, so fan out over the domain pool in chunked
+   batches (bit-identical to the sequential closure). *)
 let of_graph ?pool ?chunks g =
   let n = Wgraph.n g in
   let flat = Array.make (n * n) 0.0 in
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  Pool.parallel_chunks pool ?chunks n (fun lo hi ->
-      let s = Dijkstra.scratch n in
-      for v = lo to hi - 1 do
-        (* Same per-row injection point as [Pool.parallel_init]: fault
-           outcomes stay independent of the chunking and domain count. *)
-        Fault.check_at "pool.task" v;
-        let dist = Dijkstra.run_scratch s g v in
-        let base = v * n in
-        for u = 0 to n - 1 do
-          let d = Array.unsafe_get dist u in
-          if d = infinity then
-            invalid_arg (Printf.sprintf "Metric.of_graph: node %d unreachable from %d" u v);
-          Array.unsafe_set flat (base + u) d
-        done
-      done);
+  (* Same per-row injection point as [Pool.parallel_init]: fault
+     outcomes stay independent of the chunking and domain count. *)
+  Pool.parallel_chunks pool ?chunks n (close_rows flat g ~each:(Fault.check_at "pool.task"));
+  Array.iteri
+    (fun i d ->
+      if d = infinity then
+        invalid_arg (Printf.sprintf "Metric.of_graph: node %d unreachable from %d" (i mod n) (i / n)))
+    flat;
   { n; flat; version = 1 }
+
+let refresh m g ~version =
+  if Wgraph.n g <> m.n then invalid_arg "Metric.refresh: graph size mismatch";
+  close_rows m.flat g ~each:ignore 0 m.n;
+  m.version <- version
 
 let of_graph_floyd g =
   let n = Wgraph.n g in
@@ -157,73 +163,6 @@ let nearest_dists m nodes =
   let out = Array.make (max 1 m.n) 0.0 in
   nearest_dists_into m nodes out;
   if Array.length out = m.n then out else [||]
-
-(* ----- incremental repair under topology churn -----
-
-   A full [of_graph] recompute runs one Dijkstra per node. A single
-   churn event invalidates far fewer rows: an edge-weight decrease (or
-   a restored edge) is a pure all-pairs relaxation through that edge
-   (O(n^2), no Dijkstra at all), and an increase/removal only touches
-   sources whose shortest-path tree used the edge — the caller
-   ({!Churn}) selects those rows and hands them here for targeted
-   re-computation, reusing one {!Dijkstra.scratch} across the batch.
-   Unlike [of_graph], repaired rows permit [infinity]: an unreachable
-   pair is exactly what a partition looks like, and the serve layer
-   treats a non-finite cost as "drop and count". Each repair writes
-   both the row and (by symmetry) the column, so the matrix stays
-   exactly symmetric, and bumps [version]. *)
-
-let recompute_rows m g rows =
-  if Wgraph.n g <> m.n then invalid_arg "Metric.recompute_rows: graph size mismatch";
-  let n = m.n in
-  let s = Dijkstra.scratch n in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= n then invalid_arg "Metric.recompute_rows: row out of range";
-      let dist = Dijkstra.run_scratch s g v in
-      Array.blit dist 0 m.flat (v * n) n;
-      for u = 0 to n - 1 do
-        m.flat.((u * n) + v) <- Array.unsafe_get dist u
-      done)
-    rows;
-  touch m
-
-let relax_edge m ~u ~v ~w =
-  if u < 0 || u >= m.n || v < 0 || v >= m.n then invalid_arg "Metric.relax_edge: out of range";
-  if not (Float.is_finite w) || w < 0.0 then
-    invalid_arg "Metric.relax_edge: weight must be finite and non-negative";
-  let n = m.n in
-  (* distances to the endpoints after using the cheaper edge once *)
-  let du = Array.make n 0.0 and dv = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let diu = m.flat.((i * n) + u) and div_ = m.flat.((i * n) + v) in
-    du.(i) <- Float.min diu (div_ +. w);
-    dv.(i) <- Float.min div_ (diu +. w)
-  done;
-  for i = 0 to n - 1 do
-    let base = i * n in
-    let diu = du.(i) and div_ = dv.(i) in
-    for j = 0 to n - 1 do
-      let cand = Float.min (diu +. w +. dv.(j)) (div_ +. w +. du.(j)) in
-      if cand < Array.unsafe_get m.flat (base + j) then Array.unsafe_set m.flat (base + j) cand
-    done
-  done;
-  touch m
-
-let relax_via m z =
-  if z < 0 || z >= m.n then invalid_arg "Metric.relax_via: node out of range";
-  let n = m.n in
-  let dz = Array.sub m.flat (z * n) n in
-  for i = 0 to n - 1 do
-    let base = i * n in
-    let diz = dz.(i) in
-    if Float.is_finite diz then
-      for j = 0 to n - 1 do
-        let cand = diz +. Array.unsafe_get dz j in
-        if cand < Array.unsafe_get m.flat (base + j) then Array.unsafe_set m.flat (base + j) cand
-      done
-  done;
-  touch m
 
 let max_finite m =
   Array.fold_left (fun acc x -> if Float.is_finite x && x > acc then x else acc) 0.0 m.flat

@@ -15,20 +15,14 @@ type row
 
 val size : t -> int
 
-(** [version m] is the metric's repair version: 1 at construction,
-    bumped by every in-place repair ({!recompute_rows}, {!relax_edge},
-    {!relax_via}, {!touch}). Consumers that memoize derived distance
-    data key it on this counter so a topology change can never serve a
-    stale table. *)
+(** [version m] is the metric's version: 1 at construction, restamped
+    by every in-place {!refresh}. Consumers that memoize derived
+    distance data key it on this counter so a topology change can never
+    serve a stale table. *)
 val version : t -> int
 
-(** [touch m] bumps {!version} without changing any distance — for
-    churn events that alter the network state but provably leave every
-    shortest path intact. *)
-val touch : t -> unit
-
 (** [copy m] is a private deep copy (same distances and version);
-    in-place repairs on the copy leave [m] untouched. *)
+    in-place refreshes of the copy leave [m] untouched. *)
 val copy : t -> t
 
 (** [d m u v] is the distance; [d m v v = 0]. *)
@@ -100,36 +94,18 @@ val nearest_dists_into : t -> int list -> float array -> unit
     explanation on failure. *)
 val is_metric : float array array -> (unit, string) result
 
-(** {2 Incremental repair under topology churn}
+(** {2 Topology churn} *)
 
-    In-place updates used by {!Churn} to keep a metric consistent with
-    a changing graph without paying a full {!of_graph} recompute per
-    event. All three write both the affected rows and (by symmetry) the
-    matching columns, permit [infinity] for pairs a partition has
-    disconnected, and bump {!version}. *)
-
-(** [recompute_rows m g rows] re-runs one Dijkstra per listed source on
-    the {e current} graph [g] and overwrites those rows and columns.
-    One {!Dijkstra.scratch} is reused across the batch. Unreachable
-    targets are stored as [infinity] (unlike {!of_graph}, which rejects
-    them — a repaired metric is allowed to describe a partitioned
-    network). @raise Invalid_argument on a size mismatch or an
-    out-of-range row. *)
-val recompute_rows : t -> Wgraph.t -> int list -> unit
-
-(** [relax_edge m ~u ~v ~w] applies the decrease-only all-pairs
-    relaxation through an edge [(u, v)] of weight [w] — the exact
-    repair for a new or cheapened edge: [d'(i,j) = min(d(i,j),
-    d'(i,u) + w + d'(v,j), d'(i,v) + w + d'(u,j))], O(n²) with no
-    Dijkstra. @raise Invalid_argument on out-of-range endpoints or a
-    non-finite or negative weight. *)
-val relax_edge : t -> u:int -> v:int -> w:float -> unit
-
-(** [relax_via m z] relaxes every pair through node [z], whose row must
-    already hold current distances ([recompute_rows m g [z]] first) —
-    the repair for a revived node: all new shortest paths pass through
-    it. *)
-val relax_via : t -> int -> unit
+(** [refresh m g ~version] overwrites [m] in place with the
+    shortest-path closure of [g]: one Dijkstra per source row, rows only
+    (as {!of_graph} writes them, so a connected [g] refreshes to exactly
+    [of_graph g]'s bits). Unlike {!of_graph} it accepts a disconnected
+    [g] and stores unreachable pairs as [infinity] — the one way a
+    [Metric.t] describes a partitioned network — runs sequentially and
+    draws no fault coins. {!version} becomes [version], which the caller
+    keeps distinct from every version [m] held before.
+    @raise Invalid_argument on a size mismatch. *)
+val refresh : t -> Wgraph.t -> version:int -> unit
 
 (** [max_finite m] is the largest finite distance (0 for an empty or
     fully disconnected metric). *)

@@ -153,7 +153,7 @@ module Core = struct
              objects)"
             h.Trace.nodes h.Trace.objects header.Trace.nodes header.Trace.objects;
         let rest =
-          En.fast_forward_from eng ~base:chain.Trace.Journal.base
+          En.fast_forward eng ~base:chain.Trace.Journal.base
             (Seq.map En.of_trace_item (List.to_seq chain.Trace.Journal.chain_items))
         in
         Seq.iter

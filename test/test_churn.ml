@@ -1,9 +1,10 @@
-(* Topology churn: incremental metric repair against from-scratch
-   recomputation, the churn state machine's validation, serve caches
-   tracking in-place metric repair, topology items in traces and
-   fingerprints, and the engine's degraded serving — drops, emergency
-   re-replication, cross-domain identity and kill-free resume under
-   churn. *)
+(* Topology churn: the churned metric against from-scratch
+   recomputation and against a handle restored from the state alone,
+   the churn state machine's validation, serve caches tracking the
+   in-place refresh, topology items in traces and fingerprints, and the
+   engine's degraded serving — drops, emergency re-replication,
+   cross-domain identity, and resume under churn from a whole trace or
+   a pruned journal chain. *)
 
 open Dmn_prelude
 module I = Dmn_core.Instance
@@ -44,7 +45,7 @@ let with_tmp_dir suffix f =
   Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f path)
 
 (* reference closure that tolerates disconnection ([Metric.of_graph]
-   rejects unreachable pairs by design — the repaired metric is the only
+   rejects unreachable pairs by design — the churned metric is the only
    construction allowed to hold infinity) *)
 let floyd_closure g =
   let n = Wgraph.n g in
@@ -70,8 +71,8 @@ let floyd_closure g =
   mat
 
 (* entrywise metric equality: same infinity pattern, finite entries
-   within relative tolerance (repair and recompute order float ops
-   differently) *)
+   within relative tolerance (Dijkstra and Floyd–Warshall order float
+   ops differently) *)
 let check_metric_matches what repaired reference =
   let n = Array.length reference in
   Alcotest.(check int) (what ^ ": size") n (Mt.size repaired);
@@ -93,7 +94,7 @@ let bridge_graph () =
   Wgraph.create 6
     [ (0, 1, 1.0); (1, 2, 1.0); (0, 2, 1.0); (2, 3, 1.0); (3, 4, 1.0); (4, 5, 1.0); (3, 5, 1.0) ]
 
-(* ---------- incremental repair vs recompute ---------- *)
+(* ---------- churned metric vs recompute ---------- *)
 
 let repair_matches_recompute () =
   let rng = Rng.create 97 in
@@ -130,6 +131,93 @@ let repair_matches_recompute () =
   Alcotest.(check (list int)) "no down nodes" [] (Ch.down_nodes ch);
   check_metric_matches "round trip" (Ch.metric ch) (floyd_closure g);
   Alcotest.(check int) "events counted" (List.length steps) (Ch.events_applied ch)
+
+(* The churned metric is a pure function of (pristine graph, overrides,
+   liveness): after any valid sequence of all five event kinds — with
+   the metric forced at random points in between — it equals, bit for
+   bit, a fresh handle restored from the state alone. Events come from
+   a model of the logical edge set and liveness, so every one is valid;
+   weights are integral half the time to force shortest-path ties. *)
+let qcheck_metric_is_state_function =
+  QCheck.Test.make ~name:"churned metric == restored from state, bit for bit" ~count:60
+    QCheck.(triple small_int (int_range 4 16) (int_range 1 40))
+    (fun (seed, n, len) ->
+      let rng = Rng.create seed in
+      let g = Dmn_graph.Gen.erdos_renyi rng n 0.25 in
+      let m = Mt.of_graph g in
+      let ch = Ch.create g m in
+      let present = Hashtbl.create 32 in
+      List.iter (fun (u, v, _) -> Hashtbl.replace present (min u v, max u v) ()) (Wgraph.edges g);
+      let alive = Array.make n true in
+      let weight () =
+        if Rng.bool rng then float_of_int (1 + Rng.int rng 4) else Rng.float_in rng 0.1 5.0
+      in
+      let pick_present () =
+        let es = Hashtbl.fold (fun e () acc -> e :: acc) present [] |> List.sort compare in
+        if es = [] then None else Some (List.nth es (Rng.int rng (List.length es)))
+      in
+      let nodes_where p = List.filter p (List.init n Fun.id) in
+      for _ = 1 to len do
+        let ev =
+          match Rng.int rng 5 with
+          | 0 -> Option.map (fun (u, v) -> Ch.Edge_weight { u; v; w = weight () }) (pick_present ())
+          | 1 ->
+              Option.map
+                (fun (u, v) ->
+                  Hashtbl.remove present (u, v);
+                  Ch.Edge_down { u; v })
+                (pick_present ())
+          | 2 ->
+              let u = Rng.int rng n and v = Rng.int rng n in
+              let key = (min u v, max u v) in
+              if u = v || Hashtbl.mem present key then None
+              else begin
+                Hashtbl.replace present key ();
+                Some (Ch.Edge_up { u; v; w = weight () })
+              end
+          | 3 -> (
+              match nodes_where (fun z -> alive.(z)) with
+              | [] -> None
+              | l ->
+                  let z = List.nth l (Rng.int rng (List.length l)) in
+                  alive.(z) <- false;
+                  Some (Ch.Node_down z))
+          | _ -> (
+              match nodes_where (fun z -> not alive.(z)) with
+              | [] -> None
+              | l ->
+                  let z = List.nth l (Rng.int rng (List.length l)) in
+                  alive.(z) <- true;
+                  Some (Ch.Node_up z))
+        in
+        Option.iter (Ch.apply ch) ev;
+        if Rng.int rng 4 = 0 then ignore (Ch.metric ch : Mt.t)
+      done;
+      let cm = Ch.metric ch in
+      let fresh = Ch.create g m in
+      (* a handle no event touched is its own restored state *)
+      if Ch.churned ch then
+        Ch.restore fresh ~overrides:(Ch.overrides ch) ~down:(Ch.down_nodes ch)
+          ~events:(Ch.events_applied ch) ~version:(Mt.version cm);
+      let rm = Ch.metric fresh in
+      let bits_equal a b =
+        let ok = ref true in
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if Int64.bits_of_float (Mt.d a i j) <> Int64.bits_of_float (Mt.d b i j) then
+              ok := false
+          done
+        done;
+        !ok
+      in
+      bits_equal cm rm
+      && Mt.version rm = Mt.version cm
+      && Mt.hash64 rm = Mt.hash64 cm
+      && Mt.version cm = Mt.version m + Ch.events_applied ch
+      (* with every node alive on a connected graph the closure is
+         exactly [of_graph]'s — the pristine state included *)
+      && ((Ch.down_nodes ch <> [] || not (Wgraph.is_connected (Ch.graph ch)))
+         || bits_equal cm (Mt.of_graph (Ch.graph ch))))
 
 let partition_yields_infinity () =
   let g = bridge_graph () in
@@ -177,7 +265,7 @@ let churn_rejects_invalid_events () =
   (* events rejected by validation must not count as applied *)
   Alcotest.(check int) "only the valid event applied" 1 (Ch.events_applied ch)
 
-(* ---------- serve caches under in-place repair ---------- *)
+(* ---------- serve caches under the in-place refresh ---------- *)
 
 let serve_cache_tracks_metric_repair () =
   let g = bridge_graph () in
@@ -187,13 +275,18 @@ let serve_cache_tracks_metric_repair () =
   let _, d0 = Sc.nearest cache 5 in
   Alcotest.(check (float 1e-9)) "pristine distance" 3.0 d0;
   let v0 = Sc.version cache in
-  (* shorten the bridge: the memoized nearest table must be dropped *)
+  (* shorten the bridge: the memoized nearest table must be dropped.
+     [apply] is lazy — the shared metric refreshes at the next
+     [Ch.metric], which is where the engine forces it, once per epoch
+     boundary before serving *)
   Ch.apply ch (Ch.Edge_weight { u = 2; v = 3; w = 0.25 });
+  ignore (Ch.metric ch : Mt.t);
   let _, d1 = Sc.nearest cache 5 in
   Alcotest.(check (float 1e-9)) "repaired distance" 2.25 d1;
   Alcotest.(check bool) "version bumped by repair" true (Sc.version cache > v0);
   (* a partition turns the serve cost infinite rather than stale *)
   Ch.apply ch (Ch.Edge_down { u = 2; v = 3 });
+  ignore (Ch.metric ch : Mt.t);
   let _, d2 = Sc.nearest cache 5 in
   Alcotest.(check bool) "partitioned serve is infinite" false (Float.is_finite d2)
 
@@ -478,6 +571,84 @@ let engine_churn_resume_is_byte_identical () =
         (En.metrics_json inst resumed))
     [ 1; 4 ]
 
+(* ---------- pruned-chain resume ---------- *)
+
+(* A daemon whose journal pruned its oldest segments resumes from a
+   chain that begins at item [base] > 0, so the consumed topology
+   events are not all there to replay. The network comes from the
+   checkpoint's topology section instead; because the churned metric is
+   the closure of the current graph, that rebuild is bit-identical to
+   the state the history produced. Crash points land on churned
+   boundaries of a node-failure stream and of a diurnal edge-surge
+   stream. Every checkpoint the resumed run writes must equal the
+   uninterrupted run's generation byte for byte, and a whole-trace
+   resume from one of them must succeed. *)
+let pruned_chain_resume_is_byte_identical () =
+  let inst = small_instance 29 in
+  let placement = A.solve inst in
+  let config = { En.default_config with En.epoch = 50 } in
+  let ckpt dir = { En.dir; every = 1; keep = 1000 } in
+  let gen dir g =
+    Dmn_core.Serial.read_file (Filename.concat dir (Dmn_core.Ckpt_store.gen_name g))
+  in
+  let newest dir = (Dmn_core.Ckpt_store.load dir).Dmn_core.Ckpt_store.generation in
+  let streams =
+    [
+      ( "failures",
+        Ad.failure_repair (Rng.create 41) inst ~phases:6 ~phase_length:100 ~write_fraction:0.2,
+        [ 150; 350 ] );
+      ("diurnal", Ad.diurnal (Rng.create 41) inst ~days:3 ~day_length:100 ~write_fraction:0.2, [ 150; 250 ]);
+    ]
+  in
+  List.iter
+    (fun (name, stream, crashes) ->
+      let items = List.of_seq stream in
+      with_tmp_dir (name ^ "-full.ckptdir") @@ fun full_dir ->
+      let full =
+        En.metrics_json inst
+          (En.run_items ~config ~ckpt:(ckpt full_dir) inst placement (List.to_seq items))
+      in
+      List.iter
+        (fun crash ->
+          let prefix =
+            let reqs = ref 0 in
+            List.filter
+              (fun it ->
+                let keep = !reqs < crash in
+                (match it with St.Req _ when keep -> incr reqs | _ -> ());
+                keep)
+              items
+          in
+          with_tmp_dir (name ^ "-crash.ckptdir") @@ fun crash_dir ->
+          ignore (En.run_items ~config ~ckpt:(ckpt crash_dir) inst placement (List.to_seq prefix));
+          let c = (Dmn_core.Ckpt_store.load crash_dir).Dmn_core.Ckpt_store.ckpt in
+          let covered = c.Ck.events_consumed + c.Ck.topo_consumed in
+          Alcotest.(check int) (name ^ ": checkpoint covers the prefix") (List.length prefix) covered;
+          Alcotest.(check bool) (name ^ ": prefix churned") true (c.Ck.topo_applied > 0);
+          List.iter
+            (fun base ->
+              let what = Printf.sprintf "%s, crash at %d requests, base %d" name crash base in
+              let chain = List.filteri (fun i _ -> i >= base) items in
+              with_tmp_dir (name ^ "-resumed.ckptdir") @@ fun dir ->
+              let resumed =
+                En.run_items ~config ~ckpt:(ckpt dir) ~resume:c ~base inst placement
+                  (List.to_seq chain)
+              in
+              Alcotest.(check string) (what ^ ": metrics JSON") full (En.metrics_json inst resumed);
+              let offset = newest full_dir - newest dir in
+              for g = 0 to newest dir do
+                Alcotest.(check string)
+                  (Printf.sprintf "%s: generation %d" what g)
+                  (gen full_dir (g + offset)) (gen dir g)
+              done;
+              let first = Ck.of_string (gen dir 0) in
+              let again = En.run_items ~config ~resume:first inst placement (List.to_seq items) in
+              Alcotest.(check string) (what ^ ": whole-trace resume after it") full
+                (En.metrics_json inst again))
+            [ covered; covered / 2 ])
+        crashes)
+    streams
+
 (* ---------- a topology-only batch is an epoch ---------- *)
 
 (* Topology consumed after the last request forms a batch with no
@@ -532,7 +703,10 @@ let engine_topology_only_batch_is_an_epoch () =
 (* A fixed small resolve replay under churn, checkpointing every epoch:
    the digests of its metrics JSON (v4) and of its newest checkpoint
    generation (v3) pin both formats byte for byte. A change that moves
-   either digest changes a file format and must bump its version. *)
+   either digest changes a file format and must bump its version —
+   unless it changes only a recorded value: the checkpoint carries the
+   churned metric's hash and version, which moved (format unchanged)
+   when the churned metric became the closure of the current graph. *)
 let formats_are_pinned () =
   let inst = small_instance 29 in
   let placement = A.solve inst in
@@ -557,12 +731,13 @@ let formats_are_pinned () =
   in
   let hex s = Digest.to_hex (Digest.string s) in
   Alcotest.(check string) "metrics JSON v4 digest" "2980c8fa8d583e558cdaaad420f38993" (hex (En.metrics_json inst r));
-  Alcotest.(check string) "checkpoint v3 digest" "a99c2d3cb9021857b8fa6fba52a8c392" (hex gen)
+  Alcotest.(check string) "checkpoint v3 digest" "85af55cbe4faeddb939abaa60a34706a" (hex gen)
 
 let suite =
   [
     Alcotest.test_case "repair matches recompute" `Quick repair_matches_recompute;
     Alcotest.test_case "partition infinity" `Quick partition_yields_infinity;
+    Util.qtest qcheck_metric_is_state_function;
     Alcotest.test_case "churn validation" `Quick churn_rejects_invalid_events;
     Alcotest.test_case "serve cache tracks repair" `Quick serve_cache_tracks_metric_repair;
     Alcotest.test_case "one-shot guard" `Quick one_shot_guard_raises;
@@ -573,6 +748,7 @@ let suite =
     Alcotest.test_case "churn needs a graph" `Quick engine_rejects_churn_without_graph;
     Alcotest.test_case "adversary streams" `Quick adversary_streams_replay_cleanly;
     Alcotest.test_case "resume under churn" `Quick engine_churn_resume_is_byte_identical;
+    Alcotest.test_case "pruned-chain resume" `Quick pruned_chain_resume_is_byte_identical;
     Alcotest.test_case "topology-only batch is an epoch" `Quick
       engine_topology_only_batch_is_an_epoch;
     Alcotest.test_case "formats pinned" `Quick formats_are_pinned;

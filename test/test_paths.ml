@@ -2,21 +2,6 @@ open Dmn_prelude
 open Dmn_graph
 open Dmn_paths
 
-let binheap_sorts () =
-  let rng = Rng.create 21 in
-  let h = Binheap.create () in
-  let values = Array.init 500 (fun _ -> Rng.float rng 100.0) in
-  Array.iter (fun v -> Binheap.push h v ()) values;
-  Alcotest.(check int) "size" 500 (Binheap.size h);
-  let sorted = Array.copy values in
-  Array.sort compare sorted;
-  Array.iter (fun expected -> Util.check_float "pop order" expected (fst (Binheap.pop_min h))) sorted;
-  Alcotest.(check bool) "empty" true (Binheap.is_empty h)
-
-let binheap_empty_raises () =
-  let h : unit Binheap.t = Binheap.create () in
-  Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Binheap.pop_min h))
-
 let idx_heap_decrease_key () =
   let h = Idx_heap.create 10 in
   Idx_heap.insert h 3 5.0;
@@ -107,13 +92,6 @@ let dijkstra_path_valid () =
       Alcotest.(check int) "starts at source" 0 (List.hd p)
     done
   done
-
-let bfs_hops_match () =
-  let g = Gen.grid 3 3 in
-  let h = Bfs.hops g 0 in
-  Alcotest.(check int) "corner to corner" 4 h.(8);
-  Alcotest.(check int) "eccentricity" 4 (Bfs.eccentricity g 0);
-  Alcotest.(check int) "component size" 9 (List.length (Bfs.component g 0))
 
 let metric_axioms () =
   let rng = Rng.create 26 in
@@ -207,15 +185,12 @@ let qcheck_flat_matrix =
 
 let suite =
   [
-    Alcotest.test_case "binheap sorts" `Quick binheap_sorts;
-    Alcotest.test_case "binheap empty raises" `Quick binheap_empty_raises;
     Alcotest.test_case "idx heap decrease-key" `Quick idx_heap_decrease_key;
     Alcotest.test_case "idx heap random" `Quick idx_heap_sorts_random;
     Alcotest.test_case "dijkstra line" `Quick dijkstra_line;
     Alcotest.test_case "dijkstra vs floyd-warshall" `Quick dijkstra_vs_floyd;
     Alcotest.test_case "multi-source dijkstra" `Quick dijkstra_multi_source;
     Alcotest.test_case "dijkstra paths valid" `Quick dijkstra_path_valid;
-    Alcotest.test_case "bfs hops" `Quick bfs_hops_match;
     Alcotest.test_case "metric axioms" `Quick metric_axioms;
     Alcotest.test_case "metric validation" `Quick metric_of_matrix_validates;
     Alcotest.test_case "euclidean metric" `Quick metric_of_points;
