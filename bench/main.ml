@@ -1159,6 +1159,88 @@ let replay () =
       ("checkpoints", `I epochs); ("wall_s_plain", `F t_plain); ("wall_s_ckpt", `F t_ckpt);
       ("overhead_frac", `F overhead); ("within_budget", `B (overhead <= 0.08));
     ];
+  (* per-epoch checkpoints over 1,000 epochs at the CLI defaults
+     (resolve, 1000-event epochs): a generation names its row-log prefix
+     instead of holding every row, so --ckpt-every 1 costs at most 1.5x
+     the user CPU of the same run without checkpoints (ROADMAP "bounded
+     history"), metrics byte-identical. The bound is on user CPU, the
+     program's own work, which is what re-rendering the history grew.
+     What a durable checkpoint costs the kernel — four fsyncs and the
+     generation's create/rename/unlink, ~0.4 ms of sys time and ~1 ms
+     of fsync latency per epoch on a 100 us-fsync disk — is constant
+     per checkpoint and recorded alongside (sys and wall), not gated.
+     One domain, so no worker spins while the main one waits on the
+     disk; arms interleaved, best of 5 per arm and clock. *)
+  let long_epochs = 1000 and long_epoch = 1000 in
+  let long_stream () =
+    Dmn_dynamic.Stream.drifting_seq (Rng.create 7) inst ~phases
+      ~phase_length:(long_epochs * long_epoch / phases) ~write_fraction:0.15
+  in
+  let long_config = { En.default_config with En.policy = En.Resolve; epoch = long_epoch } in
+  let long_dir = temp_dir "dmnet-bench-ckpt-every-1" in
+  (* best (wall, user, sys) of each arm: plain at 0-2, checkpointed at 3-5 *)
+  let best = Array.make 6 infinity in
+  let timed arm f =
+    let t0 = Unix.times () in
+    let r, wall = time_it f in
+    let t1 = Unix.times () in
+    List.iteri
+      (fun i x -> if x < best.(arm + i) then best.(arm + i) <- x)
+      [ wall; t1.Unix.tms_utime -. t0.Unix.tms_utime; t1.Unix.tms_stime -. t0.Unix.tms_stime ];
+    r
+  in
+  let r_plain = ref None and r_ckpt = ref None in
+  (Pool.with_pool ~domains:1 @@ fun pool ->
+   for _ = 1 to 5 do
+     r_plain := Some (timed 0 (fun () -> En.run ~pool ~config:long_config inst placement (long_stream ())));
+     rm_rf long_dir;
+     r_ckpt :=
+       Some
+         (timed 3 (fun () ->
+              En.run ~pool ~config:long_config ~ckpt:{ En.dir = long_dir; every = 1; keep = 3 } inst
+                placement (long_stream ())))
+   done);
+  rm_rf long_dir;
+  let r_plain = Option.get !r_plain and r_ckpt = Option.get !r_ckpt in
+  let user_ratio = best.(4) /. best.(1) in
+  Printf.printf
+    "--ckpt-every 1 over %d epochs of %d events: user %.3fs -> %.3fs (%.2fx), sys %.3fs -> \
+     %.3fs, wall %.3fs -> %.3fs\n"
+    (List.length r_plain.En.epochs) long_epoch best.(1) best.(4) user_ratio best.(2) best.(5)
+    best.(0) best.(3);
+  if En.metrics_json inst r_ckpt <> En.metrics_json inst r_plain then
+    failwith "replay: per-epoch checkpointing changed the metrics JSON";
+  if user_ratio > 1.5 then
+    failwith
+      (Printf.sprintf
+         "replay: --ckpt-every 1 costs %.2fx the user CPU of the run without checkpoints (bound 1.5x)"
+         user_ratio);
+  (* generation size at 1,000 and 10,000 epochs: equal up to the digits
+     its counters gained *)
+  let size_dir = temp_dir "dmnet-bench-ckpt-size" in
+  ignore
+    (En.run
+       ~config:{ En.default_config with En.policy = En.Static; epoch = 10 }
+       ~ckpt:{ En.dir = size_dir; every = 1000; keep = 10 } inst placement
+       (Dmn_dynamic.Stream.stationary_seq (Rng.create 7) inst ~length:100_000));
+  let bytes name = (Unix.stat (Filename.concat size_dir name)).Unix.st_size in
+  let gen_1k = bytes (Dmn_core.Ckpt_store.gen_name 0)
+  and gen_10k = bytes (Dmn_core.Ckpt_store.gen_name 9)
+  and row_log = bytes Dmn_core.Ckpt_store.rows_name in
+  rm_rf size_dir;
+  Printf.printf "checkpoint generation: %d bytes at 1,000 epochs, %d at 10,000 (row log %d bytes)\n"
+    gen_1k gen_10k row_log;
+  if abs (gen_10k - gen_1k) > 64 then
+    failwith "replay: the checkpoint generation grew by more than 64 B from 1,000 to 10,000 epochs";
+  record
+    [
+      ("name", `S "replay-checkpoint-every-epoch"); ("epochs", `I (List.length r_plain.En.epochs));
+      ("epoch_size", `I long_epoch); ("user_s_plain", `F best.(1)); ("user_s_ckpt", `F best.(4));
+      ("user_ratio", `F user_ratio); ("within_bound", `B (user_ratio <= 1.5));
+      ("sys_s_plain", `F best.(2)); ("sys_s_ckpt", `F best.(5)); ("wall_s_plain", `F best.(0));
+      ("wall_s_ckpt", `F best.(3)); ("gen_bytes_1k_epochs", `I gen_1k);
+      ("gen_bytes_10k_epochs", `I gen_10k); ("row_log_bytes_10k_epochs", `I row_log);
+    ];
   (* serve-path: versioned serve caches vs recompute-everything (PR 5
      tentpole). Cheap storage rent makes the solver replicate widely, so
      the copy sets are large; the stream is write-heavy, so the uncached
@@ -1908,6 +1990,7 @@ let chaos () =
     [
       "trace.append.write"; "trace.append.sync"; "trace.append.short"; "serial.write.write";
       "serial.write.fsync"; "serial.write.rename";
+      "ckpt.rows.write"; "ckpt.rows.fsync";
     ]
   in
   let run_at domains =

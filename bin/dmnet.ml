@@ -966,8 +966,10 @@ let fsck_cmd =
   let ckpt_dir =
     Arg.(value & opt (some string) None & info [ "ckpt" ] ~docv:"DIR"
            ~doc:"Checkpoint generation directory (dmnet-ckptdir v1) to validate: manifest \
-                 magic and CRC, every referenced generation's own CRC sections, unreferenced \
-                 generation files.")
+                 magic and CRC, every referenced generation's own CRC sections and the \
+                 row-log prefix it covers (length and CRC-32; a damaged prefix is reported \
+                 with its first bad byte offset), unreferenced generation files, the \
+                 uncovered row-log tail.")
   in
   let journal_dir =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR"
@@ -979,7 +981,8 @@ let fsck_cmd =
     Arg.(value & flag & info [ "repair" ]
            ~doc:"Repair what can be repaired: truncate a torn journal tail, rewrite the \
                  checkpoint manifest over the valid generations, delete corrupt or \
-                 unreferenced generation files, and (with both directories) prune journal \
+                 unreferenced generation files, truncate the row log to the valid \
+                 generations' coverage, and (with both directories) prune journal \
                  segments the newest valid checkpoint fully covers.")
   in
   let run ckpt_dir journal_dir repair =
@@ -997,9 +1000,15 @@ let fsck_cmd =
     | None -> ()
     | Some dir ->
         let r = Err.get_ok (Cs.fsck_res ~repair dir) in
-        Printf.printf "ckpt %s: %d generation(s), latest gen %d%s%s%s%s\n" dir r.Cs.f_generations
-          r.Cs.f_latest
+        Printf.printf "ckpt %s: %d generation(s), latest gen %d%s%s%s%s%s%s\n" dir
+          r.Cs.f_generations r.Cs.f_latest
           (if r.Cs.f_corrupt > 0 then Printf.sprintf ", %d corrupt" r.Cs.f_corrupt else "")
+          (match r.Cs.f_rows_bad with
+          | Some at -> Printf.sprintf ", row log damaged at byte offset %d" at
+          | None -> "")
+          (if r.Cs.f_rows_tail > 0 then
+             Printf.sprintf ", %d uncovered row-log byte(s)" r.Cs.f_rows_tail
+           else "")
           (if r.Cs.f_unreferenced > 0 then
              Printf.sprintf ", %d unreferenced" r.Cs.f_unreferenced
            else "")

@@ -4,21 +4,29 @@ open Dmn_prelude
 
    Layout:
      <dir>/MANIFEST          atomic pointer to the live generations
-     <dir>/gen-000042.ckpt   one dmnet-ckpt v2 file per generation
+     <dir>/gen-000042.ckpt   one dmnet-ckpt v4 file per generation
+     <dir>/rows.log          append-only epoch rows; each generation
+                             covers a prefix of it (count, bytes, CRC)
 
    The manifest is the only mutable name; generations are written once
    (atomically, via {!Serial.write_file_res}) and then only ever
-   deleted. Write ordering on save: generation file first, manifest
-   second, pruning of old generations last — so a crash between any two
-   steps leaves either the previous manifest (pointing at intact older
-   generations) or the new one (whose generations are all durable).
-   Unreferenced generation files left by such a crash are benign and
-   are collected by the next save or by [fsck ~repair]. *)
+   deleted. Write ordering on save: new rows appended to the row log and
+   fsync'd, generation file, manifest, pruning of old generations — so a
+   crash between any two steps leaves either the previous manifest
+   (pointing at intact older generations, whose log prefixes are
+   untouched) or the new one (whose generations and rows are all
+   durable). Unreferenced generation files and uncovered log bytes left
+   by such a crash are benign: the next save drops or collects them, as
+   does [fsck ~repair]. *)
+
+module Ck = Serial.Checkpoint
 
 let magic = "dmnet-ckptdir v1"
 let manifest_name = "MANIFEST"
+let rows_name = "rows.log"
 let gen_name g = Printf.sprintf "gen-%06d.ckpt" g
 let gen_path dir g = Filename.concat dir (gen_name g)
+let rows_path dir = Filename.concat dir rows_name
 
 (* Inverse of [gen_name]; wider counters still parse ("gen-1000000"),
    shorter ones do not exist because [gen_name] zero-pads. *)
@@ -144,7 +152,119 @@ let scan_gens_res dir =
       |> List.sort_uniq compare |> Result.ok
   | exception Sys_error msg -> Err.errorf ~file:dir Err.Io "cannot list checkpoint directory: %s" msg
 
-type loaded = { ckpt : Serial.Checkpoint.t; generation : int; fallbacks : int }
+(* ----- the row log ----- *)
+
+(* The whole row log; a directory without one has no rows yet. *)
+let read_rows_res dir =
+  let path = rows_path dir in
+  if Sys.file_exists path then Serial.read_file_res path else Ok ""
+
+let load_gen_with ~log dir g =
+  let file = gen_path dir g in
+  Result.bind (Serial.read_file_res file) (Ck.of_string_res ~file ~log_file:(rows_path dir) ~log)
+
+let load_gen_res dir g = Result.bind (read_rows_res dir) (fun log -> load_gen_with ~log dir g)
+
+(* What this process last made durable in a directory's row log: the
+   covered prefix and the newest row in it. A save whose history holds
+   that very row (physically — the engine's rows are immutable and only
+   ever appended) at the same index extends it, so only its new rows
+   are rendered, appended and fsync'd. Anything else — the first save
+   in this process, a resumed engine (its rows were parsed anew), a
+   different history, a failed append — rewrites the whole log
+   atomically from the checkpoint's rows. That happens once per
+   process, and it drops any uncovered tail a crash or a fallback to
+   an older generation left behind. *)
+type tail = { covered : Ck.rows_ref; newest : Epoch_row.t }
+
+let tails : (string, tail) Hashtbl.t = Hashtbl.create 4
+let tails_lock = Mutex.create ()
+
+(* [rows] past the [covered] prefix, if [newest] is its last row *)
+let past t rows =
+  let rec go k = function
+    | r :: rest when k = 1 -> if r == t.newest then Some rest else None
+    | _ :: rest -> go (k - 1) rest
+    | [] -> None
+  in
+  if t.covered.r_count = 0 then Some rows else go t.covered.r_count rows
+
+let extend (r : Ck.rows_ref) rows text =
+  {
+    Ck.r_count = r.r_count + List.length rows;
+    r_bytes = r.r_bytes + String.length text;
+    r_crc = Crc32.update r.r_crc text;
+  }
+
+(* Append [fresh] after [t.covered], truncating anything past it first;
+   [None] when the file no longer holds the covered prefix. *)
+let append path t fresh =
+  let fd =
+    Serial.retry_eintr (fun () ->
+        Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644)
+  in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let size = (Unix.fstat fd).Unix.st_size and base = t.covered.r_bytes in
+      if size < base then None
+      else begin
+        if size > base then Serial.retry_eintr (fun () -> Unix.ftruncate fd base);
+        if fresh = [] then Some t.covered
+        else begin
+          let text = Ck.render_rows fresh in
+          let len = String.length text in
+          ignore (Unix.lseek fd base Unix.SEEK_SET);
+          (* injected torn append: a prefix of the new rows reaches the
+             disk, then the write fails *)
+          let stop = if Fault.fires "ckpt.rows.write" then len / 2 else len in
+          let rec loop off =
+            if off < stop then
+              loop
+                (off + Serial.retry_eintr (fun () -> Unix.write_substring fd text off (stop - off)))
+          in
+          loop 0;
+          if stop < len then
+            Err.failf Err.Fault "injected torn row-log append (%d of %d bytes)" stop len;
+          Fault.check "ckpt.rows.fsync";
+          Serial.retry_eintr (fun () -> Unix.fsync fd);
+          Some (extend t.covered fresh text)
+        end
+      end)
+
+(* Steps 1-2 of a save: every row of the checkpoint durable in the log. *)
+let append_rows_res dir rows =
+  let path = rows_path dir in
+  let cached =
+    Mutex.protect tails_lock (fun () ->
+        let t = Hashtbl.find_opt tails dir in
+        Hashtbl.remove tails dir;
+        t)
+  in
+  let rewrite () =
+    let text = Ck.render_rows rows in
+    Result.map (fun () -> (extend Ck.no_rows rows text, Epoch_row.zero, rows))
+      (Serial.write_file_res path text)
+  in
+  let result =
+    match Option.bind cached (fun t -> Option.map (fun fresh -> (t, fresh)) (past t rows)) with
+    | None -> rewrite ()
+    | Some (t, fresh) -> (
+        match append path t fresh with
+        | Some covered -> Ok (covered, t.newest, fresh)
+        | None -> rewrite ()
+        | exception Err.Error e -> Error (Err.with_file path e)
+        | exception Unix.Unix_error (err, op, _) ->
+            Err.errorf ~file:path Err.Io "%s: %s" op (Unix.error_message err))
+  in
+  Result.map
+    (fun (covered, newest, fresh) ->
+      let newest = List.fold_left (fun _ r -> r) newest fresh in
+      Mutex.protect tails_lock (fun () -> Hashtbl.replace tails dir { covered; newest });
+      covered)
+    result
+
+type loaded = { ckpt : Ck.t; generation : int; fallbacks : int }
 
 let load_res dir =
   (* Candidates newest-first: the manifest's list when it is intact, a
@@ -160,16 +280,20 @@ let load_res dir =
     Err.errorf ~file:dir Err.Io "no checkpoint generations found%s"
       (if manifest_penalty > 0 then " (manifest missing or corrupt)" else "")
   else
-    let rec try_gens skipped = function
+    Result.bind (read_rows_res dir) @@ fun log ->
+    (* when every generation fails, the newest one's error says why *)
+    let rec try_gens newest skipped = function
       | [] ->
-          Err.errorf ~file:dir Err.Parse
-            "all %d checkpoint generations are corrupt or unreadable" (List.length candidates)
+          let e = Option.get newest in
+          Err.errorf ?file:e.Err.file e.Err.kind
+            "all %d checkpoint generations in %s are corrupt or unreadable; the newest: %s"
+            (List.length candidates) dir e.Err.msg
       | g :: rest -> (
-          match Serial.Checkpoint.load_res (gen_path dir g) with
+          match load_gen_with ~log dir g with
           | Ok ckpt -> Ok { ckpt; generation = g; fallbacks = manifest_penalty + skipped }
-          | Error _ -> try_gens (skipped + 1) rest)
+          | Error e -> try_gens (Some (Option.value newest ~default:e)) (skipped + 1) rest)
     in
-    try_gens 0 candidates
+    try_gens None 0 candidates
 
 let remove_gen dir g = try Sys.remove (gen_path dir g) with Sys_error _ -> ()
 
@@ -185,7 +309,12 @@ let save_res dir ~keep ckpt =
     | Error _ -> Result.fold ~ok:Fun.id ~error:(fun _ -> []) (scan_gens_res dir)
   in
   let next = match List.rev prev_gens with g :: _ -> g + 1 | [] -> 0 in
-  Result.bind (Serial.Checkpoint.save_res (gen_path dir next) ckpt) @@ fun () ->
+  Result.bind (append_rows_res dir ckpt.Ck.epochs) @@ fun rows ->
+  (* The manifest write's directory fsync makes this rename durable
+     too, and nothing is removed before it. *)
+  Result.bind
+    (Serial.write_file_res ~sync_dir:false (gen_path dir next) (Ck.to_string { ckpt with rows }))
+  @@ fun () ->
   let all = prev_gens @ [ next ] in
   let drop = max 0 (List.length all - keep) in
   let kept = List.filteri (fun i _ -> i >= drop) all in
@@ -205,55 +334,81 @@ type fsck_report = {
   f_corrupt : int;  (** referenced generations that fail CRC/parse *)
   f_unreferenced : int;  (** gen files on disk the manifest does not list *)
   f_manifest_ok : bool;
+  f_rows_bad : int option;  (** first bad byte of a covered row-log prefix *)
+  f_rows_tail : int;  (** row-log bytes past every valid generation's prefix *)
   f_repaired : bool;
 }
 
 let fsck_res ?(repair = false) dir =
   Result.bind (scan_gens_res dir) @@ fun on_disk ->
+  Result.bind (read_rows_res dir) @@ fun log ->
   let manifest = read_manifest_res dir in
   let manifest_ok = Result.is_ok manifest in
   let referenced = match manifest with Ok m -> m.gens | Error _ -> on_disk in
   let keep = match manifest with Ok m -> m.keep | Error _ -> max 1 (List.length on_disk) in
-  let valid, corrupt =
-    List.partition (fun g -> Result.is_ok (Serial.Checkpoint.load_res (gen_path dir g))) referenced
+  (* each referenced generation: its covered prefix when it loads, or
+     the first bad byte of the row log when that is why it does not *)
+  let checked =
+    List.map
+      (fun g ->
+        match Serial.read_file_res (gen_path dir g) with
+        | Error _ -> (g, Error None)
+        | Ok s -> (
+            match Ck.of_string_res ~log s with
+            | Ok c -> (g, Ok c.Ck.rows.r_bytes)
+            | Error _ ->
+                (g, Error (Result.fold ~ok:(Ck.rows_damage ~log) ~error:(fun _ -> None)
+                             (Ck.rows_ref_of_string_res s)))))
+      referenced
   in
+  let valid = List.filter_map (function g, Ok _ -> Some g | _, Error _ -> None) checked in
+  let corrupt = List.filter_map (function g, Error _ -> Some g | _, Ok _ -> None) checked in
+  let covered = List.fold_left (fun acc -> function _, Ok b -> max acc b | _ -> acc) 0 checked in
+  let rows_bad =
+    List.fold_left
+      (fun acc -> function
+        | _, Error (Some at) -> Some (match acc with Some a -> min a at | None -> at)
+        | _ -> acc)
+      None checked
+  in
+  let rows_tail = String.length log - covered in
   let unreferenced = List.filter (fun g -> not (List.mem g referenced)) on_disk in
   match List.rev valid with
   | [] ->
       if manifest_ok || on_disk <> [] then
-        Err.errorf ~file:dir Err.Parse "no valid checkpoint generation (%d corrupt, %d on disk)"
+        Err.errorf ~file:dir Err.Parse "no valid checkpoint generation (%d corrupt, %d on disk)%s"
           (List.length corrupt) (List.length on_disk)
+          (match rows_bad with
+          | Some at -> Printf.sprintf "; row log damaged at byte offset %d" at
+          | None -> "")
       else Err.errorf ~file:dir Err.Io "not a checkpoint directory: no manifest, no generations"
   | latest :: _ ->
-      let needs_repair = (not manifest_ok) || corrupt <> [] || unreferenced <> [] in
-      let repaired = repair && needs_repair in
-      if repaired then (
+      let report repaired =
+        {
+          f_generations = List.length valid;
+          f_latest = latest;
+          f_corrupt = List.length corrupt;
+          f_unreferenced = List.length unreferenced;
+          f_manifest_ok = manifest_ok;
+          f_rows_bad = rows_bad;
+          f_rows_tail = rows_tail;
+          f_repaired = repaired;
+        }
+      in
+      let needs_repair =
+        (not manifest_ok) || corrupt <> [] || unreferenced <> [] || rows_tail > 0
+      in
+      if repair && needs_repair then
         (* Rewrite the manifest over the valid set first, then drop the
-           no-longer-referenced files. *)
-        match write_manifest_res dir { keep; latest; gens = valid } with
-        | Error e -> Error e
-        | Ok () ->
-            List.iter (remove_gen dir) corrupt;
-            List.iter (remove_gen dir) unreferenced;
-            Ok
-              {
-                f_generations = List.length valid;
-                f_latest = latest;
-                f_corrupt = List.length corrupt;
-                f_unreferenced = List.length unreferenced;
-                f_manifest_ok = manifest_ok;
-                f_repaired = true;
-              })
-      else
-        Ok
-          {
-            f_generations = List.length valid;
-            f_latest = latest;
-            f_corrupt = List.length corrupt;
-            f_unreferenced = List.length unreferenced;
-            f_manifest_ok = manifest_ok;
-            f_repaired = false;
-          }
+           no-longer-referenced files and the uncovered log tail. *)
+        Result.bind (write_manifest_res dir { keep; latest; gens = valid }) @@ fun () ->
+        List.iter (remove_gen dir) corrupt;
+        List.iter (remove_gen dir) unreferenced;
+        match if rows_tail > 0 then Unix.truncate (rows_path dir) covered with
+        | () -> Ok (report true)
+        | exception Unix.Unix_error (err, op, _) ->
+            Err.errorf ~file:(rows_path dir) Err.Io "%s: %s" op (Unix.error_message err)
+      else Ok (report false)
 
 let save dir ~keep ckpt = Err.get_ok (save_res dir ~keep ckpt)
 let load dir = Err.get_ok (load_res dir)

@@ -1,7 +1,8 @@
 (** Generational checkpoint directory ("dmnet-ckptdir v1").
 
-    A checkpoint {e directory} holds the last K checkpoint generations
-    plus an atomic [MANIFEST] naming them:
+    A checkpoint {e directory} holds the last K checkpoint generations,
+    an atomic [MANIFEST] naming them, and the append-only row log
+    [rows.log] that holds every completed epoch's row:
 
     {v
     dmnet-ckptdir v1
@@ -14,18 +15,23 @@
     The crc line is a CRC-32 over the body lines (everything between
     the magic and the crc line), so a torn manifest is detected rather
     than trusted. Each generation [gen-NNNNNN.ckpt] is a self-guarded
-    [dmnet-ckpt v2] file ({!Serial.Checkpoint}).
+    [dmnet-ckpt v4] file ({!Serial.Checkpoint}) that names the prefix
+    of the row log it covers by row count, byte length and CRC-32, so
+    its size does not grow with the number of epochs.
 
-    Write ordering on {!save_res}: new generation file (atomic tmp +
-    rename) {e then} manifest rewrite (atomic) {e then} pruning of
-    dropped generations. A crash between any two steps leaves a
-    loadable directory; stray generation files from a crashed save are
-    collected by the next save or {!fsck_res}[ ~repair].
+    Write ordering on {!save_res}: the checkpoint's new rows appended to
+    the row log and fsync'd, {e then} the new generation file (atomic
+    tmp + rename), {e then} the manifest rewrite (atomic), {e then}
+    pruning of dropped generations. A crash between any two steps
+    leaves a loadable directory; stray generation files and uncovered
+    row-log bytes from a crashed save are dropped by the next save or by
+    {!fsck_res}[ ~repair].
 
     {!load_res} walks the manifest's generations newest-first and
-    returns the first that passes CRC/parse, counting skipped
-    generations (and a missing/corrupt manifest, which falls back to a
-    directory scan) in [fallbacks] — a corrupt latest generation
+    returns the first whose generation and row-log prefix pass every
+    check, counting skipped generations (and a missing/corrupt
+    manifest, which falls back to a directory scan) in [fallbacks] — a
+    corrupt latest generation, or a damaged row in its prefix only,
     degrades to the previous one instead of failing. *)
 
 val magic : string
@@ -33,6 +39,9 @@ val magic : string
 
 val manifest_name : string
 (** Manifest filename inside the directory: ["MANIFEST"]. *)
+
+val rows_name : string
+(** Row-log filename inside the directory: ["rows.log"]. *)
 
 val gen_name : int -> string
 (** [gen_name g] is the filename of generation [g], e.g.
@@ -63,6 +72,15 @@ val save_res :
 (** [save_res dir ~keep ckpt] writes the next generation into [dir]
     (creating it if needed), updates the manifest, prunes generations
     beyond the newest [keep], and returns the new generation number.
+    The generation's [rows] is the row-log prefix holding
+    [ckpt.epochs], whatever [ckpt.rows] said.
+
+    When [ckpt.epochs] extends the history this process last saved into
+    [dir] — its row at the last saved index is that same (physically
+    equal) row, as in the engine's append-only history — only the new
+    rows are rendered and appended, at the fault points
+    ["ckpt.rows.write"] (a torn append) and ["ckpt.rows.fsync"]. Any
+    other history rewrites the whole log atomically.
     @raise Invalid_argument if [keep < 1]. *)
 
 val save : string -> keep:int -> Serial.Checkpoint.t -> int
@@ -77,8 +95,14 @@ type loaded = {
 }
 
 val load_res : string -> (loaded, Dmn_prelude.Err.t) result
-(** [load_res dir] loads the newest valid generation, newest-first.
-    Errors only when no generation in [dir] passes validation. *)
+(** [load_res dir] loads the newest valid generation, newest-first,
+    with the rows of its row-log prefix in [epochs]. Errors only when
+    no generation in [dir] passes validation. It writes nothing: the
+    resumed engine's first save rewrites the row log, which drops any
+    tail its generation does not cover. *)
+
+val load_gen_res : string -> int -> (Serial.Checkpoint.t, Dmn_prelude.Err.t) result
+(** [load_gen_res dir g] loads generation [g] of [dir] with its rows. *)
 
 val load : string -> loaded
 (** {!load_res}, raising [Err.Error]. *)
@@ -89,12 +113,22 @@ type fsck_report = {
   f_corrupt : int;  (** referenced generations failing CRC/parse *)
   f_unreferenced : int;  (** gen files on disk the manifest omits *)
   f_manifest_ok : bool;
+  f_rows_bad : int option;
+      (** the first bad byte offset in a referenced generation's row-log
+          prefix (the log's length when it is short), if one is damaged *)
+  f_rows_tail : int;
+      (** row-log bytes past every valid generation's prefix: the torn or
+          uncovered tail a kill leaves, benign *)
   f_repaired : bool;  (** true iff [~repair] rewrote the directory *)
 }
 
 val fsck_res : ?repair:bool -> string -> (fsck_report, Dmn_prelude.Err.t) result
-(** Offline validation of a checkpoint directory. Reports corrupt and
-    unreferenced generations; with [~repair:true] rewrites the manifest
-    over the valid set and deletes corrupt/unreferenced files. Errors
-    when no valid generation exists at all. A healthy directory yields
-    [f_corrupt = 0], [f_unreferenced = 0], [f_manifest_ok = true]. *)
+(** Offline validation of a checkpoint directory. Checks every
+    referenced generation with its row-log prefix (length and CRC-32)
+    and reports corrupt and unreferenced generations, the first bad
+    byte of a damaged prefix and the uncovered log tail; with
+    [~repair:true] rewrites the manifest over the valid set, deletes
+    corrupt/unreferenced files and truncates the row log to the valid
+    generations' coverage. Errors when no valid generation exists at
+    all. A healthy directory yields [f_corrupt = 0],
+    [f_unreferenced = 0], [f_manifest_ok = true], [f_rows_bad = None]. *)

@@ -52,7 +52,7 @@ type field = {
   get : t -> value;
   gauge : string;  (** per-epoch gauge name in the engine's metrics registry *)
   counter : string option;  (** cumulative counter name, for int fields that have one *)
-  col : int;  (** column in a [dmnet-ckpt v3] epoch row *)
+  col : int;  (** column in a checkpoint row-log line *)
   total : int option;  (** position among the totals-JSON keys; [None] = not summed *)
 }
 

@@ -307,7 +307,7 @@ let read_file path = Err.get_ok (read_file_res path)
 
 let tmp_counter = Atomic.make 0
 
-let write_file_res path contents =
+let write_file_res ?(sync_dir = true) path contents =
   let dir = Filename.dirname path in
   let tmp =
     Filename.concat dir
@@ -350,11 +350,12 @@ let write_file_res path contents =
     Sys.rename tmp path;
     (* Make the rename itself durable; best-effort, as not every
        platform lets a directory fd be fsync'd. *)
-    match retry_eintr (fun () -> Unix.openfile dir [ Unix.O_RDONLY ] 0) with
-    | dfd ->
-        (try retry_eintr (fun () -> Unix.fsync dfd) with Unix.Unix_error _ -> ());
-        (try Unix.close dfd with Unix.Unix_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
+    if sync_dir then
+      match retry_eintr (fun () -> Unix.openfile dir [ Unix.O_RDONLY ] 0) with
+      | dfd ->
+          (try retry_eintr (fun () -> Unix.fsync dfd) with Unix.Unix_error _ -> ());
+          (try Unix.close dfd with Unix.Unix_error _ -> ())
+      | exception Unix.Unix_error _ -> ()
   with
   | () -> Ok ()
   | exception Err.Error e ->
@@ -1217,6 +1218,12 @@ module Checkpoint = struct
 
   let no_obj_state = { o_valid = false; o_mhash = 0L; o_fr = []; o_fw = [] }
 
+  (* The row-log prefix a generation covers: its row count, byte
+     length and running CRC-32. *)
+  type rows_ref = { r_count : int; r_bytes : int; r_crc : int32 }
+
+  let no_rows = { r_count = 0; r_bytes = 0; r_crc = 0l }
+
   type t = {
     policy : string;
     epoch_size : int;
@@ -1232,6 +1239,7 @@ module Checkpoint = struct
     placements : int list array;
     resolve_state : obj_state array;
     epochs : epoch_row list;
+    rows : rows_ref;
     hist : hist_state;
     topo : topo_state;
     checkpoints_written : int;
@@ -1288,25 +1296,55 @@ module Checkpoint = struct
 
   let fl = Printf.sprintf "%.17g"
 
-  (* straight into the section body: a daemon checkpointing every
-     epoch re-renders every row each time *)
+  (* [string_of_int] without the C formatter: a checkpoint renders the
+     resolve state's objects x nodes counts every time *)
+  let rec add_int buf n =
+    if n < 0 then Buffer.add_string buf (string_of_int n)
+    else begin
+      if n >= 10 then add_int buf (n / 10);
+      Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+    end
+
+  (* One row-log line: the epoch-row columns, then the CRC-32 of that
+     text, so fsck can name the first damaged row. A row is rendered
+     once, by the first checkpoint save that covers it. *)
   let add_row buf r =
+    let start = Buffer.length buf in
     Array.iteri
       (fun c (fd : Epoch_row.field) ->
         if c > 0 then Buffer.add_char buf ' ';
         match fd.get r with
-        | Epoch_row.Int n -> Buffer.add_string buf (string_of_int n)
+        | Epoch_row.Int n -> add_int buf n
         | Epoch_row.Float x -> Buffer.add_string buf (fl x))
-      Epoch_row.columns
+      Epoch_row.columns;
+    let crc = Crc32.digest (Buffer.sub buf start (Buffer.length buf - start)) in
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (Crc32.to_hex crc);
+    Buffer.add_char buf '\n'
+
+  let render_rows rows =
+    let buf = Buffer.create 256 in
+    List.iter (add_row buf) rows;
+    Buffer.contents buf
 
   let obj_state_to_line o =
     let buf = Buffer.create 64 in
     Buffer.add_string buf (if o.o_valid then "1" else "0");
     Buffer.add_char buf ' ';
     Buffer.add_string buf (Printf.sprintf "%016Lx" o.o_mhash);
+    let int n =
+      Buffer.add_char buf ' ';
+      add_int buf n
+    in
     let sparse tag l =
-      Buffer.add_string buf (Printf.sprintf " %s %d" tag (List.length l));
-      List.iter (fun (v, c) -> Buffer.add_string buf (Printf.sprintf " %d %d" v c)) l
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf tag;
+      int (List.length l);
+      List.iter
+        (fun (v, c) ->
+          int v;
+          int c)
+        l
     in
     sparse "r" o.o_fr;
     sparse "w" o.o_fw;
@@ -1336,7 +1374,7 @@ module Checkpoint = struct
 
   let to_string t =
     let buf = Buffer.create 4096 and scratch = Buffer.create 1024 in
-    Buffer.add_string buf "dmnet-ckpt v3\n";
+    Buffer.add_string buf "dmnet-ckpt v4\n";
     add_section buf scratch "meta"
       [
         "policy " ^ t.policy;
@@ -1358,15 +1396,11 @@ module Checkpoint = struct
     add_section buf scratch "resolve"
       (Printf.sprintf "count %d" (Array.length t.resolve_state)
       :: List.map obj_state_to_line (Array.to_list t.resolve_state));
-    let nrows = List.length t.epochs in
-    add_body buf scratch "epochs" (nrows + 1) (fun b ->
-        Buffer.add_string b (string_of_int nrows);
-        Buffer.add_char b '\n';
-        List.iter
-          (fun r ->
-            add_row b r;
-            Buffer.add_char b '\n')
-          t.epochs);
+    add_section buf scratch "rows"
+      [
+        Printf.sprintf "count %d bytes %d crc %s" t.rows.r_count t.rows.r_bytes
+          (Crc32.to_hex t.rows.r_crc);
+      ];
     add_section buf scratch "histogram"
       (Printf.sprintf "%s %s %d %s" (fl t.hist.h_lo) (fl t.hist.h_base) t.hist.h_buckets
          (fl t.hist.h_sum)
@@ -1410,13 +1444,13 @@ module Checkpoint = struct
     in
     (let ln, l = next "the format header" in
      match split_tokens l with
-     | [ "dmnet-ckpt"; "v3" ] -> ()
+     | [ "dmnet-ckpt"; "v4" ] -> ()
      | "dmnet-ckpt" :: version :: _ ->
          Err.failf ?file ~line:ln ~token:version Err.Parse
-           "unsupported dmnet-ckpt version %s (this build reads v3)" version
+           "unsupported dmnet-ckpt version %s (this build reads v4)" version
      | tok :: _ ->
-         Err.failf ?file ~line:ln ~token:tok Err.Parse "bad header: expected \"dmnet-ckpt v3\""
-     | [] -> Err.failf ?file ~line:ln Err.Parse "bad header: expected \"dmnet-ckpt v3\"");
+         Err.failf ?file ~line:ln ~token:tok Err.Parse "bad header: expected \"dmnet-ckpt v4\""
+     | [] -> Err.failf ?file ~line:ln Err.Parse "bad header: expected \"dmnet-ckpt v4\"");
     let sections = Hashtbl.create 8 in
     while !pos < limit do
       let ln, l = next "a section header" in
@@ -1654,60 +1688,29 @@ module Checkpoint = struct
                        "malformed resolve-state row: expected \"<solved> <hash> r ... w ...\"")
                rows)
     in
-    (* epochs *)
-    let ep_ln, ep_lines = get "epochs" in
-    let epochs =
-      match ep_lines with
-      | [] -> Err.failf ?file ~line:ep_ln Err.Parse "epochs section is empty"
-      | count_line :: rows ->
-          let c =
-            match split_tokens count_line with
-            | [ tok ] -> int_of ep_ln "epoch count" tok
-            | _ ->
-                Err.failf ?file ~line:ep_ln Err.Parse
-                  "the epochs count line must hold a single integer"
+    (* rows: the covered row-log prefix *)
+    let rw_ln, rw_lines = get "rows" in
+    let rows =
+      match List.map split_tokens rw_lines with
+      | [ [ "count"; c; "bytes"; b; "crc"; h ] ] ->
+          let r_count = int_of rw_ln "row count" c and r_bytes = int_of rw_ln "row bytes" b in
+          if r_count < 0 || r_bytes < 0 then
+            Err.fail ?file ~line:rw_ln Err.Validation "row count and bytes must be non-negative";
+          if r_count <> next_epoch then
+            Err.failf ?file ~line:rw_ln Err.Validation
+              "rows section covers %d rows but next_epoch is %d (one row per completed epoch)"
+              r_count next_epoch;
+          let r_crc =
+            match Crc32.of_hex_opt h with
+            | Some v -> v
+            | None ->
+                Err.failf ?file ~line:rw_ln ~token:h Err.Parse "expected an 8-hex-digit row-log CRC"
           in
-          if List.length rows <> c then
-            Err.failf ?file ~line:ep_ln Err.Validation
-              "epochs section declares %d rows but holds %d" c (List.length rows);
-          if c <> next_epoch then
-            Err.failf ?file ~line:ep_ln Err.Validation
-              "epochs section holds %d rows but next_epoch is %d (one row per completed epoch)"
-              c next_epoch;
-          List.mapi
-            (fun i row ->
-              let ln = ep_ln + 1 + i in
-              let toks = Array.of_list (split_tokens row) in
-              if Array.length toks <> Array.length Epoch_row.columns then
-                Err.failf ?file ~line:ln Err.Parse
-                  "malformed epoch row: expected %d whitespace-separated fields"
-                  (Array.length Epoch_row.columns);
-              let r =
-                Epoch_row.make (fun fd ->
-                    let tok = toks.(fd.col) in
-                    match fd.zero with
-                    | Epoch_row.Float _ -> Epoch_row.Float (float_of ln fd.name tok)
-                    | Epoch_row.Int _ ->
-                        let v = int_of ln fd.name tok in
-                        if v < 0 then
-                          Err.failf ?file ~line:ln ~token:tok Err.Validation
-                            "%s must be non-negative" fd.name;
-                        Epoch_row.Int v)
-              in
-              if r.index <> i then
-                Err.failf ?file ~line:ln Err.Validation "epoch row %d carries index %d" i r.index;
-              r)
-            rows
+          { r_count; r_bytes; r_crc }
+      | _ ->
+          Err.failf ?file ~line:rw_ln Err.Parse
+            "malformed rows section: expected \"count <rows> bytes <bytes> crc <crc32>\""
     in
-    let sums = Epoch_row.sum epochs in
-    if sums.events <> events_consumed then
-      Err.failf ?file ~line:ep_ln Err.Validation
-        "epoch rows account for %d events but meta says %d were consumed" sums.events
-        events_consumed;
-    if sums.topo <> topo_applied then
-      Err.failf ?file ~line:ep_ln Err.Validation
-        "epoch rows account for %d topology events but meta says %d were applied" sums.topo
-        topo_applied;
     (* histogram *)
     let h_ln, h_lines = get "histogram" in
     let hist =
@@ -1885,21 +1888,119 @@ module Checkpoint = struct
       objects;
       placements;
       resolve_state;
-      epochs;
+      epochs = [];
+      rows;
       hist;
       topo;
       checkpoints_written = ops_field "checkpoints_written";
       serve_retries = ops_field "serve_retries";
     }
 
-  let of_string_res ?file s = Err.protect (fun () -> parse ?file s)
-  let of_string s = Err.get_ok (of_string_res s)
-  let save_res path t = write_file_res path (to_string t)
-  let save path t = Err.get_ok (save_res path t)
+  (* ----- the row log -----
 
-  let load_res path =
-    let* s = read_file_res path in
-    of_string_res ~file:path s
+     An append-only file of [add_row] lines in the checkpoint
+     directory. A generation covers a prefix of it (its [rows_ref]);
+     reading it back checks that prefix's length and CRC, then every
+     row as the v3 epochs section was checked. *)
 
-  let load path = Err.get_ok (load_res path)
+  (* One row-log line on its own: its checksum, the column grammar and
+     its index [i]. [at] is its byte offset in the log. *)
+  let parse_row ?file ~at i line =
+    let fail kind msg =
+      Err.failf ?file ~line:(i + 1) kind "row log byte %d (row %d): %s" at i msg
+    in
+    let text, crc =
+      match String.rindex_opt line ' ' with
+      | Some k -> (String.sub line 0 k, String.sub line (k + 1) (String.length line - k - 1))
+      | None -> fail Err.Parse "no row checksum"
+    in
+    (match Crc32.of_hex_opt crc with
+    | None -> fail Err.Parse "expected an 8-hex-digit row checksum"
+    | Some c -> if c <> Crc32.digest text then fail Err.Validation "row checksum mismatch");
+    let toks = Array.of_list (split_tokens text) in
+    if Array.length toks <> Array.length Epoch_row.columns then
+      fail Err.Parse
+        (Printf.sprintf "malformed epoch row: expected %d whitespace-separated fields"
+           (Array.length Epoch_row.columns));
+    let r =
+      Epoch_row.make (fun fd ->
+          let tok = toks.(fd.col) in
+          match fd.zero with
+          | Epoch_row.Float _ -> (
+              match float_of_string_opt tok with
+              | Some v when not (Float.is_nan v) -> Epoch_row.Float v
+              | _ -> fail Err.Parse ("expected a number for " ^ fd.name))
+          | Epoch_row.Int _ -> (
+              match int_of_string_opt tok with
+              | Some v when v >= 0 -> Epoch_row.Int v
+              | Some _ -> fail Err.Validation (fd.name ^ " must be non-negative")
+              | None -> fail Err.Parse ("expected an integer " ^ fd.name)))
+    in
+    if r.index <> i then fail Err.Validation (Printf.sprintf "carries index %d" r.index);
+    r
+
+  (* Byte offset of the first row of [log]'s [limit]-byte prefix that
+     fails [parse_row] or does not end on a newline inside it. *)
+  let first_bad_row log ~limit =
+    let rec go at i =
+      if at >= limit then None
+      else
+        match String.index_from_opt log at '\n' with
+        | Some nl when nl >= limit -> Some at
+        | None -> Some at
+        | Some nl -> (
+            match parse_row ~at i (String.sub log at (nl - at)) with
+            | _ -> go (nl + 1) (i + 1)
+            | exception Err.Error _ -> Some at)
+    in
+    go 0 0
+
+  let rows_damage ~log r =
+    let len = String.length log in
+    if len < r.r_bytes then Some len
+    else if Crc32.digest (String.sub log 0 r.r_bytes) = r.r_crc then None
+    else Some (Option.value (first_bad_row log ~limit:r.r_bytes) ~default:0)
+
+  let attach_rows ?file ?log_file t log =
+    let r = t.rows and len = String.length log in
+    let gen = Option.value file ~default:"the generation" in
+    if len < r.r_bytes then
+      Err.failf ?file:log_file Err.Validation
+        "row log is %d bytes but %s covers %d: first missing byte at offset %d" len gen r.r_bytes
+        len;
+    (match rows_damage ~log r with
+    | None -> ()
+    | Some at ->
+        Err.failf ?file:log_file Err.Validation
+          "row log prefix [0, %d) fails the CRC %s records: first bad byte at offset %d"
+          r.r_bytes gen at);
+    let lines = String.split_on_char '\n' (String.sub log 0 r.r_bytes) in
+    (* a prefix of whole lines: ends on a newline (or is empty), leaving
+       one empty trailing cell *)
+    if (r.r_bytes > 0 && log.[r.r_bytes - 1] <> '\n') || List.length lines <> r.r_count + 1 then
+      Err.failf ?file:log_file Err.Validation
+        "row log prefix [0, %d) is not the %d whole rows %s covers" r.r_bytes r.r_count gen;
+    let at = ref 0 in
+    let epochs =
+      List.filteri (fun i _ -> i < r.r_count) lines
+      |> List.mapi (fun i line ->
+             let row = parse_row ?file:log_file ~at:!at i line in
+             at := !at + String.length line + 1;
+             row)
+    in
+    let sums = Epoch_row.sum epochs in
+    if sums.events <> t.events_consumed then
+      Err.failf ?file Err.Validation
+        "epoch rows account for %d events but meta says %d were consumed" sums.events
+        t.events_consumed;
+    if sums.topo <> t.topo_applied then
+      Err.failf ?file Err.Validation
+        "epoch rows account for %d topology events but meta says %d were applied" sums.topo
+        t.topo_applied;
+    { t with epochs }
+
+  let rows_ref_of_string_res ?file s = Err.protect (fun () -> (parse ?file s).rows)
+
+  let of_string_res ?file ?log_file ~log s =
+    Err.protect (fun () -> attach_rows ?file ?log_file (parse ?file s) log)
 end

@@ -61,7 +61,15 @@ val placement_of_string : string -> Placement.t
     ["serial.read"], ["serial.write.open"], ["serial.write.write"],
     ["serial.write.fsync"], ["serial.write.rename"]. *)
 
-val write_file_res : string -> string -> (unit, Dmn_prelude.Err.t) result
+val write_file_res :
+  ?sync_dir:bool -> string -> string -> (unit, Dmn_prelude.Err.t) result
+(** [write_file_res ?sync_dir path contents]. With [~sync_dir:false]
+    the rename is left for a later [fsync] of the same directory to
+    make durable — for a caller that writes another file there next
+    and needs both renames durable only after the second. *)
+
+(** [retry_eintr f] is [f ()], called again while it fails with [EINTR]. *)
+val retry_eintr : (unit -> 'a) -> 'a
 
 (** @raise Dmn_prelude.Err.Error with kind [Io] (or [Fault] under
     injection) on failure. *)
@@ -377,25 +385,31 @@ end
 (** {2 Replay checkpoints}
 
     Versioned crash-safe snapshots of the replay engine's state, written
-    with the same atomic temp-file + [fsync] + rename protocol as
-    {!write_file}. Line-oriented text format:
+    by {!Ckpt_store} with the same atomic temp-file + [fsync] + rename
+    protocol as {!write_file}. A checkpoint is a {e generation} plus a
+    prefix of its directory's append-only {e row log}. The generation is
+    line-oriented text:
     {v
-    dmnet-ckpt v2
+    dmnet-ckpt v4
     section <name> <lines> <crc32>
     ...body lines...
     v}
-    with six sections — [meta] (policy, epoch geometry, progress, trace
+    with seven sections — [meta] (policy, epoch geometry, progress, trace
     fingerprint, instance shape), [placements] (current copy set per
-    object), [epochs] (one accounting row per completed epoch, from
-    which cumulative metrics are reconstructed), [histogram] (request
-    cost distribution), [topology] (the churn delta: metric version and
-    hash, down nodes, edge overrides — what a resumed run needs to
-    rebuild the network state and prove it did so byte-identically) and
-    [ops] (operational counters). Each section
-    header carries the CRC-32 of the exact body bytes: corruption
-    anywhere yields a structured {!Dmn_prelude.Err.Validation} error
-    naming the section (exit code 65 at the CLI), never a silently
-    wrong resume.
+    object), [resolve] (per-object incremental-resolve state), [rows]
+    (the row count, byte length and CRC-32 of the row-log prefix holding
+    one accounting row per completed epoch, from which cumulative
+    metrics are reconstructed), [histogram] (request cost distribution),
+    [topology] (the churn delta: metric version and hash, down nodes,
+    edge overrides — what a resumed run needs to rebuild the network
+    state and prove it did so byte-identically) and [ops] (operational
+    counters). Its size does not grow with the number of epochs. Each
+    section header carries the CRC-32 of the exact body bytes, the
+    prefix is checked against its recorded length and CRC-32, and each
+    row line carries the CRC-32 of its own text: corruption anywhere
+    yields a structured {!Dmn_prelude.Err.Validation} error naming the
+    section, or the first bad byte of the row log (exit code 65 at the
+    CLI), never a silently wrong resume.
 
     The {e fingerprint} is an order-sensitive hash over the trace header
     and every consumed event; [dmnet replay --resume] recomputes it
@@ -451,6 +465,13 @@ module Checkpoint : sig
   (** The never-solved state ([o_valid = false], empty vectors). *)
   val no_obj_state : obj_state
 
+  (** The row-log prefix a generation covers: [r_count] rows in its
+      first [r_bytes] bytes, whose CRC-32 is [r_crc]. *)
+  type rows_ref = { r_count : int; r_bytes : int; r_crc : int32 }
+
+  (** The empty prefix. *)
+  val no_rows : rows_ref
+
   type t = {
     policy : string;  (** engine policy name, e.g. ["resolve"] *)
     epoch_size : int;
@@ -469,6 +490,10 @@ module Checkpoint : sig
     placements : int list array;  (** current copy nodes per object *)
     resolve_state : obj_state array;  (** one per object, index-aligned *)
     epochs : epoch_row list;  (** chronological, one per completed epoch *)
+    rows : rows_ref;
+        (** the row-log prefix holding [epochs]; {!Ckpt_store.save_res}
+            sets it when it appends the rows, whatever the caller
+            passed *)
     hist : hist_state;
     topo : topo_state;  (** network state after [topo_applied] events *)
     checkpoints_written : int;  (** operational counter carried across resumes *)
@@ -493,25 +518,37 @@ module Checkpoint : sig
       {!fingerprint_topo}. *)
   val fingerprint_item : int64 -> Trace.item -> int64
 
+  (** [to_string t] renders the generation: every section but the
+      rows themselves, which {!t.rows} names in the row log. Its size
+      does not grow with the number of epochs. *)
   val to_string : t -> string
 
-  (** [of_string_res ?file s] parses and fully validates a checkpoint:
-      section CRCs, count/range checks, per-epoch row consistency
-      (indices, event totals), placement and histogram sanity. *)
-  val of_string_res : ?file:string -> string -> (t, Dmn_prelude.Err.t) result
+  (** [render_rows rows] is the row-log text of [rows]: one line per
+      row, the {!Epoch_row.columns} then the CRC-32 of that text. *)
+  val render_rows : epoch_row list -> string
 
-  (** @raise Dmn_prelude.Err.Error on malformed or corrupt input. *)
-  val of_string : string -> t
+  (** [of_string_res ?file ?log_file ~log s] parses and fully validates
+      generation [s] and the row-log prefix it covers in [log] (the
+      whole row log; bytes past the prefix are ignored): section CRCs,
+      count/range checks, the prefix's length and CRC, each row's own
+      checksum, columns, non-negative ints and consecutive indices,
+      [count = next_epoch], and the row sums against [events] and
+      [topo_applied]. A damaged prefix is a {!Dmn_prelude.Err.Validation}
+      error naming its first bad byte offset. [file] and [log_file]
+      name the two files in errors. *)
+  val of_string_res :
+    ?file:string -> ?log_file:string -> log:string -> string -> (t, Dmn_prelude.Err.t) result
 
-  (** [save_res path t] writes atomically and durably via
-      {!write_file_res} (same fault points). *)
-  val save_res : string -> t -> (unit, Dmn_prelude.Err.t) result
+  (** [rows_ref_of_string_res ?file s] is the row reference of
+      generation [s], validated as {!of_string_res} validates the
+      generation, without reading the row log. *)
+  val rows_ref_of_string_res : ?file:string -> string -> (rows_ref, Dmn_prelude.Err.t) result
 
-  (** @raise Dmn_prelude.Err.Error on I/O failure. *)
-  val save : string -> t -> unit
-
-  val load_res : string -> (t, Dmn_prelude.Err.t) result
-
-  (** @raise Dmn_prelude.Err.Error on read or parse failure. *)
-  val load : string -> t
+  (** [rows_damage ~log r] is [None] when [log] holds [r]'s prefix
+      intact (length and CRC), otherwise the offset of its first bad
+      byte: the log's length when it is short, else the start of the
+      first covered row that fails its own checksum or grammar ([0]
+      when every row passes on its own, i.e. the prefix is another
+      history's). *)
+  val rows_damage : log:string -> rows_ref -> int option
 end

@@ -282,6 +282,7 @@ let write_checkpoint t (c : checkpointing) ~next_epoch =
                 o_fw = sparse_of_row t.last_fw.(x);
               });
       epochs = List.rev t.epochs;
+      rows = Ckpt.no_rows (* the store sets it when it appends the rows *);
       hist =
         {
           h_lo = lo;

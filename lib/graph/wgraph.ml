@@ -91,32 +91,6 @@ let edge_weight g u v =
 
 let has_edge g u v = match edge_weight g u v with _ -> true | exception Not_found -> false
 
-let with_edge_weight g u v w =
-  if u < 0 || u >= g.n || v < 0 || v >= g.n then
-    invalid_arg "Wgraph.with_edge_weight: endpoint out of range";
-  if u = v then invalid_arg "Wgraph.with_edge_weight: self-loop";
-  if w < 0.0 || not (Float.is_finite w) then
-    invalid_arg "Wgraph.with_edge_weight: edge weight must be finite and non-negative";
-  let cu, cv = if u < v then (u, v) else (v, u) in
-  let edges = Array.copy g.edges in
-  let found = ref false in
-  Array.iteri
-    (fun i (a, b, _) ->
-      if a = cu && b = cv then begin
-        edges.(i) <- (cu, cv, w);
-        found := true
-      end)
-    edges;
-  if not !found then raise Not_found;
-  let aw = Array.copy g.aw in
-  for i = g.xadj.(cu) to g.xadj.(cu + 1) - 1 do
-    if g.anodes.(i) = cv then aw.(i) <- w
-  done;
-  for i = g.xadj.(cv) to g.xadj.(cv + 1) - 1 do
-    if g.anodes.(i) = cu then aw.(i) <- w
-  done;
-  { g with edges; aw }
-
 let bfs_hops g src =
   let dist = Array.make g.n (-1) in
   let q = Queue.create () in

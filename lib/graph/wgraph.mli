@@ -46,16 +46,6 @@ val edge_weight : t -> int -> int -> float
 
 val has_edge : t -> int -> int -> bool
 
-(** [with_edge_weight g u v w] is [g] with the weight of the existing
-    edge [(u, v)] replaced by [w] — a fresh graph sharing adjacency
-    structure (and hence CSR layout and Dijkstra tie-breaks) with [g],
-    built in O(m) without re-validating the edge set. The cheap path
-    for weight-only topology churn.
-    @raise Not_found if the edge is absent.
-    @raise Invalid_argument on out-of-range endpoints, a self-loop, or
-    a weight that is negative or not finite. *)
-val with_edge_weight : t -> int -> int -> float -> t
-
 (** [bfs_hops g src] is the hop distance from [src] to every node, [-1]
     for nodes unreachable from [src]. *)
 val bfs_hops : t -> int -> int array

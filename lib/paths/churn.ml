@@ -58,8 +58,6 @@ let down_nodes t =
   done;
   !acc
 
-let down_count t = List.length (down_nodes t)
-
 let overrides t =
   Hashtbl.fold
     (fun (u, v) ov acc -> ((u, v), match ov with Removed -> None | Weight w -> Some w) :: acc)

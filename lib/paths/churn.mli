@@ -90,8 +90,6 @@ val alive : t -> int -> bool
 (** [down_nodes t] lists currently-failed nodes in ascending order. *)
 val down_nodes : t -> int list
 
-val down_count : t -> int
-
 (** [overrides t] lists the current edge overrides in canonical order:
     [((u, v), Some w)] for a reweighted or added edge, [((u, v), None)]
     for a removed one, with [u < v]. Used to serialize the topology

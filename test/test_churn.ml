@@ -591,6 +591,7 @@ let pruned_chain_resume_is_byte_identical () =
   let gen dir g =
     Dmn_core.Serial.read_file (Filename.concat dir (Dmn_core.Ckpt_store.gen_name g))
   in
+  let rows dir = Dmn_core.Serial.read_file (Filename.concat dir Dmn_core.Ckpt_store.rows_name) in
   let newest dir = (Dmn_core.Ckpt_store.load dir).Dmn_core.Ckpt_store.generation in
   let streams =
     [
@@ -641,7 +642,8 @@ let pruned_chain_resume_is_byte_identical () =
                   (Printf.sprintf "%s: generation %d" what g)
                   (gen full_dir (g + offset)) (gen dir g)
               done;
-              let first = Ck.of_string (gen dir 0) in
+              Alcotest.(check string) (what ^ ": row log") (rows full_dir) (rows dir);
+              let first = Err.get_ok (Dmn_core.Ckpt_store.load_gen_res dir 0) in
               let again = En.run_items ~config ~resume:first inst placement (List.to_seq items) in
               Alcotest.(check string) (what ^ ": whole-trace resume after it") full
                 (En.metrics_json inst again))
@@ -701,12 +703,13 @@ let engine_topology_only_batch_is_an_epoch () =
 (* ---------- format pin ---------- *)
 
 (* A fixed small resolve replay under churn, checkpointing every epoch:
-   the digests of its metrics JSON (v4) and of its newest checkpoint
-   generation (v3) pin both formats byte for byte. A change that moves
-   either digest changes a file format and must bump its version —
-   unless it changes only a recorded value: the checkpoint carries the
-   churned metric's hash and version, which moved (format unchanged)
-   when the churned metric became the closure of the current graph. *)
+   the digests of its metrics JSON (v4), of its newest checkpoint
+   generation (v4) and of its row log pin all three formats byte for
+   byte. A change that moves any digest changes a file format and must
+   bump its version — unless it changes only a recorded value: the
+   checkpoint carries the churned metric's hash and version, which
+   moved (format unchanged) when the churned metric became the closure
+   of the current graph. *)
 let formats_are_pinned () =
   let inst = small_instance 29 in
   let placement = A.solve inst in
@@ -729,9 +732,11 @@ let formats_are_pinned () =
     Dmn_core.Serial.read_file
       (Filename.concat dir (Dmn_core.Ckpt_store.gen_name loaded.Dmn_core.Ckpt_store.generation))
   in
+  let rows = Dmn_core.Serial.read_file (Filename.concat dir Dmn_core.Ckpt_store.rows_name) in
   let hex s = Digest.to_hex (Digest.string s) in
   Alcotest.(check string) "metrics JSON v4 digest" "2980c8fa8d583e558cdaaad420f38993" (hex (En.metrics_json inst r));
-  Alcotest.(check string) "checkpoint v3 digest" "85af55cbe4faeddb939abaa60a34706a" (hex gen)
+  Alcotest.(check string) "checkpoint v4 digest" "c5d3c2cfe1b8a9e93b485a2516e32a33" (hex gen);
+  Alcotest.(check string) "row log digest" "26933dd887f337cc92f957a2b6a5033c" (hex rows)
 
 let suite =
   [

@@ -63,6 +63,7 @@ let sample_checkpoint ~events_consumed ~next_epoch =
             p50 = 1.0; p95 = 2.0; p99 = 4.0;
             solve_skipped = 0; dirty = 1; cache_hits = 0; cache_misses = 0; cache_evictions = 0;
           });
+    rows = Ck.no_rows;
     dirty_eps = 0.0;
     resolve_state = [| Ck.no_obj_state; Ck.no_obj_state |];
     hist = { Ck.h_lo = 1.0; h_base = 2.0; h_buckets = 8; h_sum = 0.0; h_counts = [] };
@@ -150,6 +151,167 @@ let store_keeps_k_and_falls_back () =
   match Cs.load_res dir with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "an empty directory loaded"
+
+(* ---------- the row log ---------- *)
+
+let rows_of dir = S.read_file (Filename.concat dir Cs.rows_name)
+let gen_size dir g = (Unix.stat (Filename.concat dir (Cs.gen_name g))).Unix.st_size
+
+(* Batches of [size] requests: what [En.run_items] cuts at [epoch = size]. *)
+let rec batches size = function
+  | [] -> []
+  | items ->
+      let batch = List.filteri (fun i _ -> i < size) items in
+      batch :: batches size (List.filteri (fun i _ -> i >= size) items)
+
+(* A generation names its row-log prefix instead of holding the rows,
+   so at 10,000 epochs it is as large as at 1,000 up to the digits its
+   counters gained. *)
+let generation_size_is_flat () =
+  let inst = small_instance 5 in
+  let placement = A.solve inst in
+  let config = { En.default_config with En.policy = En.Static; epoch = 5 } in
+  with_tmp_dir "flat-ckpt" @@ fun dir ->
+  let events = St.stationary_seq (Rng.create 3) inst ~length:50_000 in
+  let r =
+    En.run_items ~config ~ckpt:{ En.dir; every = 1000; keep = 10 } inst placement
+      (St.items_of_events events)
+  in
+  Alcotest.(check int) "10,000 epochs" 10_000 (List.length r.En.epochs);
+  let epoch_of g = (Err.get_ok (Cs.load_gen_res dir g)).Ck.next_epoch in
+  Alcotest.(check (pair int int)) "generations 0 and 9" (1_000, 10_000) (epoch_of 0, epoch_of 9);
+  let grew = gen_size dir 9 - gen_size dir 0 in
+  if grew < 0 || grew > 64 then
+    Alcotest.failf "generation grew by %d bytes from 1,000 to 10,000 epochs" grew;
+  Alcotest.(check bool) "the rows are in the log" true
+    (String.length (rows_of dir) > 100 * 10_000)
+
+(* A save that dies after its rows reached the log but before its
+   generation did leaves an uncovered tail: fsck reports it as benign,
+   and the resumed run drops it and ends byte-identical. *)
+let kill_between_row_append_and_generation () =
+  let inst = small_instance 7 in
+  let placement = A.solve inst in
+  let config = { En.default_config with En.policy = En.Resolve; epoch = 40 } in
+  let items =
+    List.of_seq (St.items_of_events (St.stationary_seq (Rng.create 11) inst ~length:800))
+  in
+  let reference = En.metrics_json inst (En.run_items ~config inst placement (List.to_seq items)) in
+  with_tmp_dir "kill-ckpt" @@ fun dir ->
+  let ckpt = { En.dir; every = 1; keep = 3 } in
+  let eng = En.create ~config ~ckpt inst placement in
+  let bs = batches 40 items in
+  List.iteri (fun i b -> if i < 8 then En.step eng b) bs;
+  let covered = String.length (rows_of dir) in
+  (Fun.protect ~finally:Fault.disable @@ fun () ->
+   Fault.configure ~seed:1 ~rate:1.0 ~points:[ "serial.write.open" ] ();
+   match En.step eng (List.nth bs 8) with
+   | () -> Alcotest.fail "the generation write survived an injected failure"
+   | exception Err.Error _ -> ());
+  Alcotest.(check bool) "the ninth row reached the log" true
+    (String.length (rows_of dir) > covered);
+  let r = Err.get_ok (Cs.fsck_res dir) in
+  Alcotest.(check int) "no corrupt generation" 0 r.Cs.f_corrupt;
+  Alcotest.(check int) "uncovered tail reported" (String.length (rows_of dir) - covered)
+    r.Cs.f_rows_tail;
+  let loaded = Cs.load dir in
+  Alcotest.(check int) "resumes after epoch 8" 8 loaded.Cs.ckpt.Ck.next_epoch;
+  let resumed = En.run_items ~config ~ckpt ~resume:loaded.Cs.ckpt inst placement (List.to_seq items) in
+  Alcotest.(check string) "metrics byte-identical" reference (En.metrics_json inst resumed);
+  let r = Err.get_ok (Cs.fsck_res dir) in
+  Alcotest.(check int) "tail gone" 0 r.Cs.f_rows_tail;
+  Alcotest.(check int) "every row once" 20 (List.length (String.split_on_char '\n' (rows_of dir)) - 1)
+
+(* A damaged generation sends resume to an older one whose prefix is
+   shorter than the log; the resumed run truncates the log to that
+   prefix before appending, and everything it writes equals the
+   uninterrupted run's. *)
+let fallback_resume_truncates_row_log () =
+  let inst = small_instance 7 in
+  let placement = A.solve inst in
+  let config = { En.default_config with En.policy = En.Resolve; epoch = 40 } in
+  let items =
+    List.of_seq (St.items_of_events (St.stationary_seq (Rng.create 13) inst ~length:800))
+  in
+  with_tmp_dir "fallback-full" @@ fun full_dir ->
+  with_tmp_dir "fallback-ckpt" @@ fun dir ->
+  let ckpt dir = { En.dir; every = 1; keep = 3 } in
+  let reference =
+    En.metrics_json inst (En.run_items ~config ~ckpt:(ckpt full_dir) inst placement (List.to_seq items))
+  in
+  ignore
+    (En.run_items ~config ~ckpt:(ckpt dir) inst placement
+       (List.to_seq (List.filteri (fun i _ -> i < 600) items)));
+  let m = Err.get_ok (Cs.read_manifest_res dir) in
+  let latest = Filename.concat dir (Cs.gen_name m.Cs.latest) in
+  let body = S.read_file latest in
+  S.write_file latest (String.sub body 0 (String.length body / 2));
+  let loaded = Cs.load dir in
+  Alcotest.(check int) "one fallback" 1 loaded.Cs.fallbacks;
+  Alcotest.(check int) "the older generation" 14 loaded.Cs.ckpt.Ck.next_epoch;
+  Alcotest.(check bool) "the log runs past its prefix" true
+    (String.length (rows_of dir) > loaded.Cs.ckpt.Ck.rows.Ck.r_bytes);
+  let resumed =
+    En.run_items ~config ~ckpt:(ckpt dir) ~resume:loaded.Cs.ckpt inst placement (List.to_seq items)
+  in
+  Alcotest.(check string) "metrics byte-identical" reference (En.metrics_json inst resumed);
+  Alcotest.(check string) "row log byte-identical" (rows_of full_dir) (rows_of dir);
+  let newest d = (Cs.load d).Cs.generation in
+  Alcotest.(check string) "newest generation byte-identical"
+    (S.read_file (Filename.concat full_dir (Cs.gen_name (newest full_dir))))
+    (S.read_file (Filename.concat dir (Cs.gen_name (newest dir))))
+
+(* A flipped byte in the row log invalidates exactly the generations
+   whose prefix holds it: resume falls back past them, or fails with a
+   structured Validation error when every prefix holds it; fsck names
+   the damaged row's offset, and repair cuts the log back to the
+   intact generations' coverage. *)
+let row_log_damage_is_never_silent () =
+  let inst = small_instance 7 in
+  let placement = A.solve inst in
+  let config = { En.default_config with En.policy = En.Resolve; epoch = 40 } in
+  let items = St.items_of_events (St.stationary_seq (Rng.create 17) inst ~length:400) in
+  with_tmp_dir "flip-ckpt" @@ fun dir ->
+  ignore (En.run_items ~config ~ckpt:{ En.dir; every = 1; keep = 3 } inst placement items);
+  let log = rows_of dir in
+  let path = Filename.concat dir Cs.rows_name in
+  let flip at =
+    let b = Bytes.of_string log in
+    Bytes.set b at (if Bytes.get b at = '1' then '2' else '1');
+    S.write_file path (Bytes.to_string b)
+  in
+  (* the last row: only the newest generation covers it *)
+  let last = String.rindex_from log (String.length log - 2) '\n' + 1 in
+  flip (last + 2);
+  let l = Cs.load dir in
+  Alcotest.(check int) "falls back one generation" 1 l.Cs.fallbacks;
+  Alcotest.(check int) "to the previous epoch" 9 l.Cs.ckpt.Ck.next_epoch;
+  let r = Err.get_ok (Cs.fsck_res dir) in
+  Alcotest.(check int) "one corrupt generation" 1 r.Cs.f_corrupt;
+  Alcotest.(check (option int)) "fsck names the damaged row" (Some last) r.Cs.f_rows_bad;
+  (* the first row: every generation covers it *)
+  flip 3;
+  (match Cs.load_res dir with
+  | Ok _ -> Alcotest.fail "resumed from a damaged row log"
+  | Error e ->
+      Alcotest.(check bool) "validation kind" true (e.Err.kind = Err.Validation);
+      Alcotest.(check bool) "names the offset" true
+        (let needle = "first bad byte at offset 0" in
+         let n = String.length needle and m = String.length e.Err.msg in
+         let rec go i = i + n <= m && (String.sub e.Err.msg i n = needle || go (i + 1)) in
+         go 0));
+  (match Cs.fsck_res dir with
+  | Ok _ -> Alcotest.fail "fsck passed a damaged row log"
+  | Error _ -> ());
+  (* repair after a damaged last row: the log is cut to the intact prefix *)
+  S.write_file path log;
+  flip (last + 2);
+  let r = Err.get_ok (Cs.fsck_res ~repair:true dir) in
+  Alcotest.(check bool) "repaired" true r.Cs.f_repaired;
+  Alcotest.(check int) "log cut to the intact prefix" last (String.length (rows_of dir));
+  let r = Err.get_ok (Cs.fsck_res dir) in
+  Alcotest.(check (pair int int)) "healthy after repair" (0, 0) (r.Cs.f_corrupt, r.Cs.f_rows_tail);
+  Alcotest.(check (option int)) "no damage left" None r.Cs.f_rows_bad
 
 (* ---------- journal: torn tail at a segment boundary ---------- *)
 
@@ -253,6 +415,7 @@ let fault_points =
   [
     "trace.append.write"; "trace.append.sync"; "trace.append.short"; "serial.write.write";
     "serial.write.fsync"; "serial.write.rename";
+    "ckpt.rows.write"; "ckpt.rows.fsync";
   ]
 
 let chaos_kill_resume_identical () =
@@ -382,6 +545,13 @@ let suite =
     Alcotest.test_case "manifest corruption detected" `Quick manifest_corruption_detected;
     Alcotest.test_case "store keeps K generations, falls back" `Quick
       store_keeps_k_and_falls_back;
+    Alcotest.test_case "generation size flat from 1k to 10k epochs" `Quick
+      generation_size_is_flat;
+    Alcotest.test_case "kill between row append and generation" `Quick
+      kill_between_row_append_and_generation;
+    Alcotest.test_case "fallback resume truncates the row log" `Quick
+      fallback_resume_truncates_row_log;
+    Alcotest.test_case "row-log damage is never silent" `Quick row_log_damage_is_never_silent;
     Alcotest.test_case "torn tail repaired at a segment boundary" `Quick
       journal_repairs_torn_tail_at_boundary;
     Alcotest.test_case "covered segments pruned, chain stays valid" `Quick

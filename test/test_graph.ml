@@ -111,27 +111,6 @@ let edge_list_roundtrip () =
       (List.sort compare (Wgraph.edges g2))
   done
 
-let with_edge_weight_patches_in_place () =
-  let g = Wgraph.create 4 [ (0, 1, 1.0); (1, 2, 2.0); (2, 3, 3.0) ] in
-  let g' = Wgraph.with_edge_weight g 2 1 5.0 in
-  (* the patched graph sees the new weight from both endpoints *)
-  Alcotest.(check (float 0.0)) "u side" 5.0 (Wgraph.edge_weight g' 1 2);
-  Alcotest.(check (float 0.0)) "v side" 5.0 (Wgraph.edge_weight g' 2 1);
-  (* untouched edges and the original graph are unchanged *)
-  Alcotest.(check (float 0.0)) "other edge" 3.0 (Wgraph.edge_weight g' 2 3);
-  Alcotest.(check (float 0.0)) "original intact" 2.0 (Wgraph.edge_weight g 1 2);
-  (* edge list stays canonical with the weight swapped in *)
-  Alcotest.(check bool) "edge list updated" true
-    (Wgraph.edges g' = [ (0, 1, 1.0); (1, 2, 5.0); (2, 3, 3.0) ]);
-  Alcotest.check_raises "absent edge" Not_found (fun () ->
-      ignore (Wgraph.with_edge_weight g 0 3 1.0));
-  Alcotest.check_raises "self-loop"
-    (Invalid_argument "Wgraph.with_edge_weight: self-loop") (fun () ->
-      ignore (Wgraph.with_edge_weight g 1 1 1.0));
-  Alcotest.check_raises "bad weight"
-    (Invalid_argument "Wgraph.with_edge_weight: edge weight must be finite and non-negative")
-    (fun () -> ignore (Wgraph.with_edge_weight g 0 1 (-1.0)))
-
 let qcheck_er_connected =
   QCheck.Test.make ~name:"erdos_renyi always connected" ~count:100
     QCheck.(pair small_int (int_range 1 40))
@@ -157,7 +136,6 @@ let suite =
     Alcotest.test_case "balanced tree" `Quick balanced_tree_shape;
     Alcotest.test_case "random generators connected" `Quick random_generators_connected;
     Alcotest.test_case "map_weights" `Quick map_weights_rescale;
-    Alcotest.test_case "with_edge_weight" `Quick with_edge_weight_patches_in_place;
     Alcotest.test_case "edge list round trip" `Quick edge_list_roundtrip;
     Util.qtest qcheck_er_connected;
     Util.qtest qcheck_tree_edge_count;

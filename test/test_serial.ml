@@ -202,6 +202,7 @@ let trace_header_truncation_never_tolerated () =
 (* ---------- checkpoints ---------- *)
 
 module Ck = S.Checkpoint
+module Cs = Dmn_core.Ckpt_store
 module Row = Dmn_core.Epoch_row
 
 let gen_checkpoint : Ck.t QCheck.Gen.t =
@@ -300,17 +301,28 @@ let gen_checkpoint : Ck.t QCheck.Gen.t =
     {
       Ck.policy; epoch_size; period; next_epoch; events_consumed;
       topo_consumed = topo_applied + topo_pending; topo_applied; fingerprint; nodes; objects;
-      placements; epochs; dirty_eps; resolve_state;
+      placements; epochs; rows = Ck.no_rows; dirty_eps; resolve_state;
       hist = { Ck.h_lo = 1.0; h_base = 2.0; h_buckets; h_sum; h_counts };
       topo = { Ck.metric_version; metric_hash; down; edge_overrides };
       checkpoints_written; serve_retries;
     }
 
+(* [t] with [rows] naming the whole rendering of its epochs, and that
+   rendering: the generation and row log a save of [t] writes to a
+   fresh directory. *)
+let with_rows (t : Ck.t) =
+  let log = Ck.render_rows t.Ck.epochs in
+  let rows =
+    { Ck.r_count = List.length t.Ck.epochs; r_bytes = String.length log; r_crc = Crc32.digest log }
+  in
+  ({ t with Ck.rows }, log)
+
 let qcheck_checkpoint_roundtrip =
   QCheck.Test.make ~name:"Checkpoint.of_string (to_string t) = t" ~count:200
     (QCheck.make ~print:(fun t -> Ck.to_string t) gen_checkpoint)
     (fun t ->
-      match Ck.of_string_res (Ck.to_string t) with
+      let t, log = with_rows t in
+      match Ck.of_string_res ~log (Ck.to_string t) with
       | Ok t' -> t' = t
       | Error e -> QCheck.Test.fail_reportf "rejected its own output: %s" (Err.to_string e))
 
@@ -329,6 +341,7 @@ let sample_checkpoint () =
             p50 = 1.0; p95 = 2.0; p99 = 4.0;
             solve_skipped = 1; dirty = 2; cache_hits = 1; cache_misses = 1; cache_evictions = 0;
           });
+    rows = Ck.no_rows;
     dirty_eps = 0.25;
     resolve_state =
       [|
@@ -345,7 +358,7 @@ let sample_checkpoint () =
   }
 
 let checkpoint_corruption_detected () =
-  let t = sample_checkpoint () in
+  let t, log = with_rows (sample_checkpoint ()) in
   let s = Ck.to_string t in
   (* flip one digit inside a section body: the CRC must catch it *)
   let flip_at i =
@@ -358,10 +371,10 @@ let checkpoint_corruption_detected () =
     let p = ref (-1) in
     String.iteri (fun i c -> if !p < 0 && c = '.' then p := i + 1) s;
     (* a digit right after the first float's point sits inside the
-       epochs section body *)
+       topology section body *)
     !p
   in
-  (match Ck.of_string_res (flip_at body_pos) with
+  (match Ck.of_string_res ~log (flip_at body_pos) with
   | Error e ->
       Alcotest.(check bool) "validation kind" true (e.Err.kind = Err.Validation);
       Alcotest.(check int) "CLI exit code" 65 (Err.exit_code e);
@@ -376,7 +389,7 @@ let checkpoint_corruption_detected () =
       if i + String.length hdr <= String.length s && String.sub s i (String.length hdr) = hdr
       then hdr_pos := i)
     s;
-  (match Ck.of_string_res (flip_at (!hdr_pos + String.length hdr + 2)) with
+  (match Ck.of_string_res ~log (flip_at (!hdr_pos + String.length hdr + 2)) with
   | Error e -> Alcotest.(check bool) "header damage detected" true (e.Err.kind <> Err.Internal)
   | Ok _ -> Alcotest.fail "damaged section header accepted");
   (* truncation: dropping the final section is a parse error *)
@@ -390,21 +403,68 @@ let checkpoint_corruption_detected () =
       s;
     String.sub s 0 !p
   in
-  match Ck.of_string_res cut with
+  (match Ck.of_string_res ~log cut with
   | Error e -> Alcotest.(check bool) "truncation is a parse error" true (e.Err.kind = Err.Parse)
-  | Ok _ -> Alcotest.fail "truncated checkpoint accepted"
+  | Ok _ -> Alcotest.fail "truncated checkpoint accepted");
+  (* a v3 generation (rows inline) is refused by version, not misread *)
+  let v3 = "dmnet-ckpt v3" ^ String.sub s 13 (String.length s - 13) in
+  match Ck.of_string_res ~log v3 with
+  | Error e ->
+      Alcotest.(check bool) "unsupported version" true
+        (e.Err.kind = Err.Parse && contains "unsupported dmnet-ckpt version v3" e.Err.msg)
+  | Ok _ -> Alcotest.fail "v3 checkpoint accepted"
+
+(* Every single-byte flip in the covered row-log prefix is caught, and
+   the damage is placed at the start of the row holding the flipped
+   byte; a short log names its first missing byte. *)
+let checkpoint_row_log_flips_detected () =
+  let t, log = with_rows (sample_checkpoint ()) in
+  let s = Ck.to_string t in
+  let row_start i = match String.rindex_from_opt log (i - 1) '\n' with Some p -> p + 1 | None -> 0 in
+  String.iteri
+    (fun i c ->
+      let b = Bytes.of_string log in
+      Bytes.set b i (Char.chr (Char.code c lxor 1));
+      let flipped = Bytes.to_string b in
+      (match Ck.of_string_res ~log:flipped s with
+      | Error e ->
+          if e.Err.kind <> Err.Validation then
+            Alcotest.failf "flip at %d: kind %s" i (Err.kind_name e.Err.kind);
+          let where = Printf.sprintf "first bad byte at offset %d" (row_start i) in
+          if not (contains where e.Err.msg) then
+            Alcotest.failf "flip at %d: %s" i e.Err.msg
+      | Ok _ -> Alcotest.failf "flip at byte %d of the row log accepted" i);
+      Alcotest.(check (option int))
+        (Printf.sprintf "damage offset of a flip at %d" i)
+        (Some (row_start i))
+        (Ck.rows_damage ~log:flipped t.Ck.rows))
+    log;
+  let short = String.sub log 0 (String.length log - 1) in
+  Alcotest.(check (option int)) "short log" (Some (String.length short))
+    (Ck.rows_damage ~log:short t.Ck.rows);
+  (* bytes past the covered prefix are not the generation's concern *)
+  match Ck.of_string_res ~log:(log ^ "torn") s with
+  | Ok t' -> Alcotest.(check bool) "tail ignored" true (t' = t)
+  | Error e -> Alcotest.failf "uncovered tail rejected: %s" (Err.to_string e)
+
 
 let checkpoint_save_load () =
-  let path = Filename.temp_file "dmnet" ".ckpt" in
+  let dir = Filename.temp_file "dmnet" ".ckptdir" in
+  Sys.remove dir;
   Fun.protect
-    ~finally:(fun () -> Sys.remove path)
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
     (fun () ->
-      let t = sample_checkpoint () in
-      Ck.save path t;
-      let t' = Ck.load path in
-      Alcotest.(check bool) "file roundtrip" true (t' = t);
+      let t, log = with_rows (sample_checkpoint ()) in
+      ignore (Cs.save dir ~keep:2 { t with Ck.rows = Ck.no_rows });
+      Alcotest.(check string) "row log holds the rendered rows" log
+        (S.read_file (Filename.concat dir Cs.rows_name));
+      Alcotest.(check bool) "file roundtrip" true ((Cs.load dir).Cs.ckpt = t);
       (* load errors carry the path *)
-      match Ck.load_res "/nonexistent/dmnet/ckpt" with
+      match Cs.load_res "/nonexistent/dmnet/ckpt" with
       | Error e -> Alcotest.(check bool) "io kind" true (e.Err.kind = Err.Io)
       | Ok _ -> Alcotest.fail "missing checkpoint loaded")
 
@@ -482,6 +542,8 @@ let suite =
     Alcotest.test_case "trace header truncation fatal" `Quick
       trace_header_truncation_never_tolerated;
     Alcotest.test_case "checkpoint corruption detected" `Quick checkpoint_corruption_detected;
+    Alcotest.test_case "checkpoint row-log flips detected" `Quick
+      checkpoint_row_log_flips_detected;
     Alcotest.test_case "checkpoint save/load" `Quick checkpoint_save_load;
     Alcotest.test_case "checkpoint fingerprint order-sensitive" `Quick
       checkpoint_fingerprint_is_order_sensitive;
